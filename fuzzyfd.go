@@ -261,54 +261,6 @@ func WithParallelFD(workers int) Option {
 	}
 }
 
-// WithFDShards sets the shard count of the work-stealing closure's
-// signature index — the structure workers probe to deduplicate produced
-// tuples during incremental re-closure (full closures use the
-// pivot-partitioned engine, which has no shared index to shard). More
-// shards mean less lock contention and more (small) maps; the default,
-// autotuned from the worker count (8 shards per worker, bounded), is right
-// unless profiling shows shard-lock contention on very wide machines.
-// Rounded up to a power of two. Only takes effect with WithParallelFD.
-func WithFDShards(n int) Option {
-	return func(o *options) error {
-		if n < 1 {
-			return fmt.Errorf("fuzzyfd: shards %d < 1", n)
-		}
-		o.cfg.FD.Shards = n
-		return nil
-	}
-}
-
-// WithPartitioning toggles connected-component partitioning of the Full
-// Disjunction (on by default): the outer union splits into independent
-// components that are closed and subsumption-reduced separately — and, with
-// WithParallelFD, scheduled whole across workers. Disabling it forces the
-// flat global closure; results are identical either way, so the switch
-// exists for ablation and benchmarking.
-func WithPartitioning(on bool) Option {
-	return func(o *options) error {
-		o.cfg.FD.NoPartition = !on
-		return nil
-	}
-}
-
-// WithPivotIndex toggles pivot-bucketed posting lists in the Full
-// Disjunction closure (on by default): each connected component's posting
-// lists are sub-bucketed by the component's most selective column — its
-// pivot, chosen from per-column distinct-value statistics at seeding — so
-// complementation candidates that conflict on that column are skipped
-// without being iterated. On key-shaped components this cuts merge
-// attempts by an order of magnitude; results are byte-identical either
-// way. Disable it for ablation, or on uniformly unselective schemas (no
-// key-like column anywhere) where the bucket bookkeeping cannot pay for
-// itself.
-func WithPivotIndex(on bool) Option {
-	return func(o *options) error {
-		o.cfg.FD.NoPivot = !on
-		return nil
-	}
-}
-
 // WithMatchWorkers sets the concurrency of the value-matching phase's
 // embedding warm-up (default: the number of CPUs). It is independent of
 // WithParallelFD, which tunes the FD closure.
@@ -436,8 +388,9 @@ func IntegrateContext(ctx context.Context, tables []*Table, opts ...Option) (*Re
 // connected component producing it closes instead of materializing the
 // whole result first — results begin to flow after the first component,
 // and a canceled context keeps the rows already written as a usable
-// partial prefix. Row order is deterministic across runs but differs from
-// Integrate's globally sorted order (rows are grouped by component); the
+// partial prefix. Row order is deterministic across runs and worker counts
+// but differs from Integrate's globally sorted order (rows are grouped by
+// component); the
 // row multiset is Integrate's, except that a fully-empty input row's
 // all-null output is dropped rather than folded when other rows exist.
 // The returned Result carries schema, statistics, and timings, but no
@@ -649,14 +602,15 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 
 // StreamContext integrates every table added so far and streams the rows
 // instead of materializing them — the serving-path complement of
-// IntegrateContext. Components the call (re)closes are emitted the moment
-// their closure finishes, so the delta reaches the consumer while the rest
-// is still closing, and components untouched since the last integration
-// replay from the session's cached closure results, paying only decode
-// cost. emit runs on the calling goroutine and receives the integrated
-// schema with each row and its provenance. The emitted row multiset equals
-// IntegrateContext's result up to row order (components stream in
-// completion-then-ingest order rather than global value order), with
+// IntegrateContext. Components the call (re)closes are emitted as soon as
+// they and every component before them have closed, so the delta reaches
+// the consumer while the rest is still closing, and components untouched
+// since the last integration replay from the session's cached closure
+// results, paying only decode cost. emit runs on the calling goroutine and
+// receives the integrated schema with each row and its provenance. The
+// emitted row multiset equals IntegrateContext's result up to row order
+// (components stream in ingest order, delta first, rather than global
+// value order), with
 // StreamJSONL's all-null caveat. The returned Result carries schema,
 // statistics, and timings, but no materialized Table or Prov, and does not
 // update Last.

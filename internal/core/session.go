@@ -205,14 +205,14 @@ func (s *Session) IntegrateContext(ctx context.Context) (*Result, error) {
 
 // StreamContext computes the integration of every table added so far and
 // streams the rows instead of materializing a Result table: components the
-// call (re)closes are emitted the moment their closure finishes — the delta
-// flows while the rest is still closing — and components untouched since
-// the last integration replay from the session's cached kept tuples. emit
-// receives the integrated schema (identical on every call) with each row
-// and its provenance, on the calling goroutine. The emitted row multiset
-// equals IntegrateContext's result up to row order (components stream in
-// completion-then-ingest order, not global value order), with Stream's
-// all-null caveat. The returned Result carries schema, match diagnostics,
+// call (re)closes are emitted as soon as they and every component before
+// them have closed — the delta flows while the rest is still closing — and
+// components untouched since the last integration replay from the
+// session's cached kept tuples. emit receives the integrated schema
+// (identical on every call) with each row and its provenance, on the
+// calling goroutine. The emitted row multiset equals IntegrateContext's
+// result up to row order (components stream in ingest order, delta first,
+// not global value order), with Stream's all-null caveat. The returned Result carries schema, match diagnostics,
 // FD statistics, and timings, but no materialized Table or Prov, and does
 // not become Last.
 //

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"fuzzyfd/internal/fd"
 	"fuzzyfd/internal/table"
@@ -11,11 +10,11 @@ import (
 // Stream runs the configured pipeline over the integration set, emitting
 // each integrated row (with its provenance) as soon as the connected
 // component producing it closes, instead of materializing the whole
-// result. The alignment and matching phases are inherently whole-set and
-// run first; the FD phase then streams component by component — with
-// cfg.FD.Workers components close concurrently and flow to the emitting
-// goroutine through a channel, emitted in deterministic order (see
-// fd.Stream for the order and the all-null caveat).
+// result. It is one StreamContext call on a throwaway Session: the
+// alignment and matching phases are inherently whole-set and run first,
+// then the FD phase streams component by component in a deterministic
+// order (see fd.Index.StreamContext for the order and the all-null
+// caveat).
 //
 // emit receives the integrated schema (identical on every call — callers
 // that need the output column names read it from the first row) along with
@@ -27,25 +26,5 @@ import (
 func Stream(ctx context.Context, tables []*table.Table, cfg Config, emit func(schema fd.Schema, row table.Row, prov []fd.TID) error) (*Result, error) {
 	s := NewSession(cfg)
 	s.Add(tables...)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := time.Now()
-	work, schema, res, err := s.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-
-	fdStart := time.Now()
-	s.emit(ProgressEvent{Phase: PhaseFD})
-	stats, err := fd.Stream(ctx, work, schema, cfg.fdOptions(), func(row table.Row, prov []fd.TID) error {
-		return emit(schema, row, prov)
-	})
-	res.FDStats = stats
-	res.Timings.FD = time.Since(fdStart)
-	res.Timings.Total = time.Since(start)
-	if err != nil {
-		return res, phaseErr(PhaseFD, err)
-	}
-	s.emit(ProgressEvent{Phase: PhaseFD, Done: true, Elapsed: res.Timings.FD})
-	return res, nil
+	return s.StreamContext(ctx, emit)
 }

@@ -53,13 +53,8 @@ var cancelVariants = []struct {
 	opts Options
 }{
 	{"partitioned", Options{}},
-	{"partitioned-nopivot", Options{NoPivot: true}},
+	{"partitioned-nopivot", NoPivot(Options{})},
 	{"partitioned-steal4", Options{Workers: 4}},
-	{"partitioned-round4", Options{Workers: 4, RoundParallel: true}},
-	{"flat", Options{NoPartition: true}},
-	{"flat-steal4", Options{NoPartition: true, Workers: 4}},
-	{"flat-steal4-nopivot", Options{NoPartition: true, Workers: 4, NoPivot: true}},
-	{"flat-round4", Options{NoPartition: true, Workers: 4, RoundParallel: true}},
 }
 
 // TestFullDisjunctionContextPreCanceled: a context dead on arrival fails
@@ -155,9 +150,9 @@ func TestFullDisjunctionContextBackgroundIdentical(t *testing.T) {
 // batch result — cancellation must not leave stale component caches
 // behind. The ingested delta survives: its dirty marks persist, so
 // recovery re-closes the affected components in place instead of dropping
-// the tuple store and rebuilding. Exercised for every closure engine: the
-// sequential worklist, the work-stealing engine, and the round-based
-// ablation all interrupt mid-closure and must leave the Index recoverable.
+// the tuple store and rebuilding. Exercised for both engines a dirty
+// component re-closes with: the sequential worklist and the work-stealing
+// engine both interrupt mid-closure and must leave the Index recoverable.
 func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 	tables := chainTables(40)
 	schema := IdentitySchema(tables)
@@ -168,7 +163,6 @@ func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 	}{
 		{"seq", Options{}},
 		{"steal4", Options{Workers: 4}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()
@@ -215,17 +209,15 @@ func TestBudgetDeterministicAcrossWorkers(t *testing.T) {
 	}
 	limit := ref.Stats.Closure
 	for _, workers := range []int{1, 2, 8} {
-		for _, round := range []bool{false, true} {
-			opts := Options{Workers: workers, RoundParallel: round}
-			for trial := 0; trial < 2; trial++ {
-				opts.MaxTuples = limit
-				if _, err := FullDisjunction(tables, schema, opts); err != nil {
-					t.Fatalf("workers=%d round=%v: budget at the limit failed: %v", workers, round, err)
-				}
-				opts.MaxTuples = limit - 1
-				if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
-					t.Fatalf("workers=%d round=%v: budget below the limit returned %v", workers, round, err)
-				}
+		opts := Options{Workers: workers}
+		for trial := 0; trial < 2; trial++ {
+			opts.MaxTuples = limit
+			if _, err := FullDisjunction(tables, schema, opts); err != nil {
+				t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
+			}
+			opts.MaxTuples = limit - 1
+			if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+				t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
 			}
 		}
 	}
@@ -247,7 +239,6 @@ func TestIndexBudgetAbortRecoversAcrossWorkers(t *testing.T) {
 	}{
 		{"steal4", Options{Workers: 4}},
 		{"steal8", Options{Workers: 8}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()

@@ -11,13 +11,12 @@ import (
 )
 
 // Concurrent worklist closure — the engine WithParallelFD uses inside one
-// component. The round-based engine (closure.runParallel, kept as the
-// RoundParallel ablation) synchronizes every round: workers propose merges
-// against a frozen store, the coordinator sorts and applies them, and the
-// next round starts. That barrier costs twice on hub components: duplicate
-// proposals (every pair producing an already-known tuple allocates a
-// proposal that the coordinator sorts and then discards) and idle workers
-// at every round tail. This engine removes the rounds:
+// component whenever the pivot-partitioned engine (pivotpar.go) does not
+// apply: incremental re-closure of a dirty hub, and hubs with no pivot
+// column. A round-based closure (workers propose merges against a frozen
+// store, a coordinator sorts and applies them, the next round starts) pays
+// twice at every barrier: duplicate proposals it sorts and then discards,
+// and idle workers at every round tail. This engine has no rounds:
 //
 //   - The signature index is sharded by hash, so workers test-and-insert
 //     produced tuples directly — deduplication happens at insert under one
@@ -576,23 +575,11 @@ func (w *concWorker) expand(id int) {
 }
 
 // resolveShards picks the signature-shard count for the concurrent engine:
-// the Options override rounded up to a power of two, or an autotuned
-// default of 8 shards per worker (bounded) — enough that the birthday
-// collision rate on shard locks stays low without spraying tiny maps.
-func resolveShards(opts Options) int {
-	n := opts.Shards
-	if n <= 0 {
-		n = 8 * opts.Workers
-		if n < 16 {
-			n = 16
-		}
-		if n > 512 {
-			n = 512
-		}
-	}
-	if n > 1024 {
-		n = 1024
-	}
+// 8 shards per worker, bounded to [16, 512] and rounded up to a power of
+// two — enough that the birthday collision rate on shard locks stays low
+// without spraying tiny maps.
+func resolveShards(workers int) int {
+	n := min(max(8*workers, 16), 512)
 	p := 1
 	for p < n {
 		p <<= 1
@@ -613,9 +600,6 @@ func closeConcurrent(ctx context.Context, eng *engine, seed []Tuple, work []int,
 		if err := bud.check(); err != nil {
 			return nil, err
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
 	}
 	cc := &concClosure{
 		eng:   eng,

@@ -11,17 +11,10 @@ import (
 )
 
 // Equivalence of the work-stealing engine with the sequential one on random
-// integration sets, across shard counts (including the degenerate single
-// shard) and worker counts, for both the partitioned and flat paths. Runs
-// under -race in CI, so this doubles as the engine's race coverage.
+// integration sets, across worker counts. Runs under -race in CI, so this
+// doubles as the engine's race coverage.
 func TestConcurrentClosureMatchesSequentialRandom(t *testing.T) {
-	variants := []Options{
-		{Workers: 2},
-		{Workers: 4, Shards: 1},
-		{Workers: 4, Shards: 64},
-		{Workers: 8},
-		{NoPartition: true, Workers: 4},
-	}
+	variants := []Options{{Workers: 2}, {Workers: 4}, {Workers: 8}}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tables := randomTablesWithEmptyRows(r)
@@ -83,20 +76,14 @@ func TestIndexIncrementalConcurrentRandom(t *testing.T) {
 }
 
 func TestResolveShards(t *testing.T) {
-	for _, tc := range []struct {
-		opts Options
-		want int
-	}{
-		{Options{Workers: 2}, 16},    // floor
-		{Options{Workers: 8}, 64},    // 8 per worker
-		{Options{Workers: 100}, 512}, // autotune cap, rounded up to a power of two
-		{Options{Workers: 4, Shards: 1}, 1},
-		{Options{Workers: 4, Shards: 3}, 4},   // round up
-		{Options{Workers: 4, Shards: 64}, 64}, // power of two passes through
-		{Options{Workers: 4, Shards: 5000}, 1024},
+	for _, tc := range []struct{ workers, want int }{
+		{2, 16},    // floor
+		{8, 64},    // 8 per worker
+		{5, 64},    // rounded up to a power of two
+		{100, 512}, // cap
 	} {
-		if got := resolveShards(tc.opts); got != tc.want {
-			t.Errorf("resolveShards(%+v) = %d, want %d", tc.opts, got, tc.want)
+		if got := resolveShards(tc.workers); got != tc.want {
+			t.Errorf("resolveShards(%d) = %d, want %d", tc.workers, got, tc.want)
 		}
 	}
 }
@@ -151,8 +138,8 @@ func TestPostingListConcurrentAppendIterate(t *testing.T) {
 	}
 }
 
-// The concurrent engine engages inside a hub component and reports its
-// shard count; the sequential engine reports none.
+// The concurrent engine engages inside an unpivoted hub component and
+// reports its autotuned shard count; the sequential engine reports none.
 func TestStatsShardsReported(t *testing.T) {
 	tables := chainTables(40)
 	schema := IdentitySchema(tables)
@@ -163,25 +150,15 @@ func TestStatsShardsReported(t *testing.T) {
 	if seq.Stats.Shards != 0 {
 		t.Errorf("sequential run reported Shards=%d", seq.Stats.Shards)
 	}
-	par, err := FullDisjunction(tables, schema, Options{Workers: 4, Shards: 32})
+	par, err := FullDisjunction(tables, schema, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Stats.Shards != 32 {
-		t.Errorf("concurrent run reported Shards=%d, want 32", par.Stats.Shards)
+	if par.Stats.Shards != resolveShards(4) {
+		t.Errorf("concurrent run reported Shards=%d, want %d", par.Stats.Shards, resolveShards(4))
 	}
 	if !resultsIdentical(par, seq) {
 		t.Error("concurrent hub closure differs from sequential")
-	}
-	round, err := FullDisjunction(tables, schema, Options{Workers: 4, RoundParallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round.Stats.Shards != 0 {
-		t.Errorf("round-parallel ablation reported Shards=%d", round.Stats.Shards)
-	}
-	if !resultsIdentical(round, seq) {
-		t.Error("round-parallel hub closure differs from sequential")
 	}
 }
 

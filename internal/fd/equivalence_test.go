@@ -9,13 +9,12 @@ import (
 	"fuzzyfd/internal/table"
 )
 
-// Engine-equivalence coverage on realistic integration sets: the interned,
-// partitioned engine (sequential and component-parallel) must be
-// byte-identical — tables and provenance — to the flat global closure on
-// the datagen workloads, across seeds. The definitional-oracle comparison
-// lives in partition_test.go (the oracle caps at 16 outer-union tuples, so
-// it runs on small random sets); these tests cover the scale the oracle
-// cannot.
+// Engine-equivalence coverage on realistic integration sets: every worker
+// count and the unbucketed closure must be byte-identical — tables and
+// provenance — to the sequential closure on the datagen workloads, across
+// seeds. The definitional-oracle comparison lives in partition_test.go and
+// fuzz_test.go (the oracle caps at 16 outer-union tuples, so it runs on
+// small random sets); these tests cover the scale the oracle cannot.
 // truncated returns the tables cut to the first k of nBatches even
 // row-chunks — the accumulated view of an incremental session after its
 // k-th batch.
@@ -37,7 +36,7 @@ func truncated(tables []*table.Table, nBatches, k int) []*table.Table {
 func TestIndexIncrementalMatchesBatch(t *testing.T) {
 	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 42, TotalTuples: 1200})
 	const nBatches = 4
-	for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}, {Workers: 4, RoundParallel: true}} {
+	for _, opts := range []fd.Options{{}, fd.NoPivot(fd.Options{}), {Workers: 4}, {Workers: 8}} {
 		x := fd.NewIndex()
 		for k := 1; k <= nBatches; k++ {
 			view := truncated(tables, nBatches, k)
@@ -92,11 +91,14 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 		for _, seed := range []int64{1, 7, 42} {
 			tables := g.tables(seed)
 			schema := fd.IdentitySchema(tables)
-			ref, err := fd.FullDisjunction(tables, schema, fd.Options{NoPartition: true})
+			ref, err := fd.FullDisjunction(tables, schema, fd.Options{Workers: 1})
 			if err != nil {
-				t.Fatalf("%s seed %d flat: %v", g.name, seed, err)
+				t.Fatalf("%s seed %d sequential: %v", g.name, seed, err)
 			}
-			for _, opts := range []fd.Options{{}, {NoPivot: true}, {Workers: 4}, {Workers: 4, NoPivot: true}, {Workers: 8, Shards: 8}, {Workers: 4, RoundParallel: true}} {
+			if ref.Stats.Components == 0 && ref.Stats.OuterUnion > 0 {
+				t.Errorf("%s seed %d: partitioned engine reported no components", g.name, seed)
+			}
+			for _, opts := range []fd.Options{fd.NoPivot(fd.Options{}), {Workers: 4}, fd.NoPivot(fd.Options{Workers: 4}), {Workers: 8}} {
 				got, err := fd.FullDisjunction(tables, schema, opts)
 				if err != nil {
 					t.Fatalf("%s seed %d opts %+v: %v", g.name, seed, opts, err)
@@ -107,9 +109,6 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 				if !reflect.DeepEqual(got.Prov, ref.Prov) {
 					t.Errorf("%s seed %d opts %+v: provenance differs", g.name, seed, opts)
 				}
-				if opts.Workers == 0 && got.Stats.Components == 0 && got.Stats.OuterUnion > 0 {
-					t.Errorf("%s seed %d: partitioned engine reported no components", g.name, seed)
-				}
 			}
 		}
 	}
@@ -119,17 +118,17 @@ func TestEnginesAgreeOnDatagenSets(t *testing.T) {
 // on the workload built to stress it: the skewed catalog's dominant
 // category chains most rows into one hub whose pivot is the itemID
 // column, and category rows (no itemID) force live bucket minting in
-// every engine. All engine variants must match the unbucketed closure
+// every engine. Every worker count must match the unbucketed closure
 // exactly — tables and provenance.
 func TestPivotMatchesUnbucketedOnSkewed(t *testing.T) {
 	for _, seed := range []int64{3, 21} {
 		tables := datagen.Skewed(datagen.SkewConfig{Seed: seed, Items: 400})
 		schema := fd.IdentitySchema(tables)
-		ref, err := fd.FullDisjunction(tables, schema, fd.Options{NoPivot: true})
+		ref, err := fd.FullDisjunction(tables, schema, fd.NoPivot(fd.Options{}))
 		if err != nil {
-			t.Fatalf("seed %d flat: %v", seed, err)
+			t.Fatalf("seed %d unbucketed: %v", seed, err)
 		}
-		for _, opts := range []fd.Options{{}, {Workers: 4}, {Workers: 8}, {Workers: 4, RoundParallel: true}} {
+		for _, opts := range []fd.Options{{}, {Workers: 4}, {Workers: 8}} {
 			got, err := fd.FullDisjunction(tables, schema, opts)
 			if err != nil {
 				t.Fatalf("seed %d opts %+v: %v", seed, opts, err)

@@ -9,25 +9,31 @@
 //
 // # Engine architecture
 //
-// The engine is dictionary-encoded and component-partitioned:
+// The engine is dictionary-encoded and component-partitioned, and there is
+// one of it: FullDisjunction closes a throwaway Index, and sessions keep
+// one alive across Updates (index.go), so one-shot, incremental and
+// streaming integrations all run the same code.
 //
-//   - At outer-union time every distinct cell value is interned into a
-//     dense uint32 symbol (intern.Null = 0 is the null cell), so a Tuple's
-//     cells are a []uint32 and every hot-path operation — signature
-//     hashing, posting-index probes, merge/consistency checks, subsumption
-//     — runs on integer compares and FNV-1a hashes over symbol slices.
-//     Strings are decoded back only when the result table is materialized.
-//   - The outer union is split into connected components of the
-//     shares-an-equal-non-null-value graph (union-find over the posting
-//     lists). No complementation merge and no subsumption (bar the all-null
-//     tuple, handled globally) crosses a component boundary, so each
-//     component is closed and subsumption-reduced independently. With
-//     Options.Workers > 1, components are scheduled by size: tiny ones
-//     close inline, mid-sized ones are scheduled whole across workers, and
-//     a hub component dominating the input (or a single-component input)
-//     is closed with every worker inside it by the work-stealing concurrent
-//     engine (concurrent.go); Options.RoundParallel swaps in the
-//     round-based closure (Paganelli et al. 2019 style) as an ablation.
+//   - Every distinct cell value is interned into a dense uint32 symbol
+//     (intern.Null = 0 is the null cell), so a Tuple's cells are a
+//     []uint32 and every hot-path operation — signature hashing,
+//     posting-index probes, merge/consistency checks, subsumption — runs
+//     on integer compares and FNV-1a hashes over symbol slices. Strings
+//     are decoded back only when the result is materialized or streamed.
+//   - The outer union is split into connected components of the mergeable
+//     pair graph (union-find over the posting lists, see partition.go). No
+//     complementation merge and no subsumption (bar the all-null tuple,
+//     handled globally) crosses a component boundary, so each component is
+//     closed and subsumption-reduced independently. With Options.Workers >
+//     1, components are scheduled by size: tiny ones close inline,
+//     mid-sized ones are scheduled whole across workers, and a hub
+//     component dominating the input (or a single-component input) is
+//     closed with every worker inside it — by the pivot-partitioned engine
+//     (pivotpar.go) when the closure is complete and a pivot column
+//     qualifies, by the work-stealing engine (concurrent.go) otherwise.
+//
+// NaiveFD (naive.go) is the definitional oracle every engine path is
+// tested against.
 //
 // Tuples carry provenance (the set of input tuple IDs they integrate), so
 // downstream tasks such as entity matching can trace every output row back
@@ -58,8 +64,7 @@ func (t TID) String() string { return fmt.Sprintf("t%d.%d", t.Table, t.Row) }
 
 // Tuple is one (possibly merged) tuple over the integrated schema. Cells
 // are interned symbols from the computation's dictionary; intern.Null marks
-// a null cell. Decode symbols with the owning engine (Iterator.Decode for
-// streamed tuples).
+// a null cell.
 type Tuple struct {
 	Cells []uint32
 	Prov  []TID // sorted, unique
@@ -181,17 +186,9 @@ type Options struct {
 	// Workers > 1 closes connected components concurrently: components
 	// below a size threshold run inline, mid-sized ones are scheduled
 	// whole across workers, and a hub component that dominates the input
-	// (or a single-component input) is closed with all workers inside it
-	// by the work-stealing engine (concurrent.go). 0 or 1 runs
-	// sequentially.
+	// (or a single-component input) is closed with all workers inside it.
+	// 0 or 1 runs sequentially. Output is byte-identical either way.
 	Workers int
-	// Shards sets the signature-index shard count of the work-stealing
-	// closure (rounded up to a power of two). 0 autotunes from Workers.
-	Shards int
-	// RoundParallel replaces the work-stealing intra-component engine with
-	// the round-based parallel closure (Paganelli et al. 2019 style) — the
-	// ablation baseline. Results are identical; only the schedule differs.
-	RoundParallel bool
 	// MaxTuples aborts the computation if the closure exceeds this many
 	// tuples (a safety valve against pathological join blowup). 0 means
 	// unlimited.
@@ -203,27 +200,20 @@ type Options struct {
 	// linear model (dictionary bytes plus a per-tuple constant scaled by
 	// schema width), cheap enough for the same shared atomic counter the
 	// tuple budget uses; treat it as a resource ceiling, not allocator
-	// accounting. 0 means unlimited. The flat NoPartition ablation engines
-	// enforce only MaxTuples.
+	// accounting. 0 means unlimited.
 	MaxBytes int64
-	// NoPartition disables connected-component partitioning and closes the
-	// outer union globally — the pre-partitioned engine, kept as an
-	// equivalence baseline and ablation. Partitioning is on by default.
-	NoPartition bool
-	// NoPivot disables pivot-bucketed posting lists and scans flat posting
-	// lists during the closure — the unbucketed path, kept as an ablation.
-	// The pivot index is on by default: each component's posting lists are
-	// sub-bucketed by its most selective column (see choosePivot), so
-	// candidates that conflict on that column are skipped without being
-	// iterated. Output is byte-identical either way; disable it on
-	// uniformly unselective schemas where no column qualifies as a pivot
-	// and the bucket bookkeeping is pure overhead.
-	NoPivot bool
 	// Progress, when non-nil, is called once per closed component, always
 	// from the assembling goroutine (never concurrently), in completion
-	// order. It must not block for long: with Workers > 1 it is on the
-	// path that drains worker results.
+	// order. It must not
+	// block for long: with Workers > 1 it is on the path that drains
+	// worker results. A streaming run calls it after every row it can
+	// emit so far is out, so a consumer may flush its sink there.
 	Progress func(ComponentProgress)
+
+	// noPivot disables the pivot-bucketed posting lists (see choosePivot)
+	// — a test hook for the attempt-reduction measurement, set through
+	// export_test.go. Output is byte-identical either way.
+	noPivot bool
 }
 
 // ComponentProgress reports one component's closure completing.
@@ -233,8 +223,8 @@ type ComponentProgress struct {
 	Members int // outer-union tuples of the component that just closed
 	Closure int // closure tuples of that component
 	// PivotColumn is the output column the component's posting lists were
-	// bucketed by, or -1 when the component ran unbucketed (NoPivot,
-	// singleton, or no sufficiently selective column). PivotSkipped is the
+	// bucketed by, or -1 when the component ran unbucketed (singleton, or
+	// no sufficiently selective column). PivotSkipped is the
 	// candidate iterations that bucketing skipped inside this component.
 	PivotColumn  int
 	PivotSkipped int
@@ -281,10 +271,10 @@ type Stats struct {
 	OuterUnion       int   // tuples after outer union + dedup
 	Values           int   // distinct non-null cell values in the dictionary
 	ReusedValues     int   // distinct new-row values already interned by earlier runs (0 for one-shot)
-	Components       int   // connected components of the outer union (0 with NoPartition)
+	Components       int   // connected components of the outer union
 	DirtyComponents  int   // components (re)closed this run (= Components for one-shot partitioned runs)
 	LargestComp      int   // outer-union tuples in the largest component
-	LargestClose     int   // closure tuples of the largest component (0 with NoPartition)
+	LargestClose     int   // closure tuples of the largest component
 	Merges           int   // successful complementation merges this run
 	MergeAttempts    int   // candidate pairs tested this run (schedule-dependent under Workers > 1)
 	Closure          int   // tuples after complementation closure
@@ -338,92 +328,17 @@ func FullDisjunction(tables []*table.Table, schema Schema, opts Options) (*Resul
 // and deadlines are observed at component boundaries and, inside a
 // component, every cancelEvery candidate expansions — so even a single hub
 // component that dominates the closure is interrupted promptly. A dead
-// context yields an error matching ErrCanceled.
+// context yields an error matching ErrCanceled. It is one Update of a
+// throwaway Index.
 func FullDisjunctionContext(ctx context.Context, tables []*table.Table, schema Schema, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := schema.Validate(tables); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
-	}
-	var stats Stats
-	stats.PivotColumn = -1
-	for _, t := range tables {
-		stats.InputTuples += len(t.Rows)
-	}
-
-	eng, tuples, sigs := outerUnion(tables, schema)
-	stats.OuterUnion = len(tuples)
-	stats.Values = eng.dict.Len()
-	bud := newBudget(opts, len(tuples), eng)
-
-	var kept []Tuple
-	if opts.NoPartition {
-		pivot := pivotFor(opts, tuples, eng.nCols)
-		var closed []Tuple
-		var closedIdx *postingIndex
-		switch {
-		case opts.Workers > 1 && !opts.RoundParallel && pivot >= 0:
-			var err error
-			closed, err = closePivotPar(ctx, eng, tuples, pivot, opts.Workers, bud, &stats)
-			if err != nil {
-				return nil, err
-			}
-		case opts.Workers > 1 && !opts.RoundParallel:
-			var err error
-			closed, err = closeConcurrent(ctx, eng, tuples, nil, opts.Workers, resolveShards(opts), pivot, bud, &stats)
-			if err != nil {
-				return nil, err
-			}
-		case opts.Workers > 1:
-			cl := newClosure(eng, tuples, sigs, bud, pivot)
-			if err := cl.runParallel(ctx, opts.Workers, nil, &stats); err != nil {
-				return nil, err
-			}
-			closed, closedIdx = cl.tuples, cl.idx
-			stats.PivotColumn, stats.PivotBuckets = cl.idx.pivot, cl.idx.buckets
-		default:
-			cl := newClosure(eng, tuples, sigs, bud, pivot)
-			if err := cl.run(ctx, &stats); err != nil {
-				return nil, err
-			}
-			closed, closedIdx = cl.tuples, cl.idx
-			stats.PivotColumn, stats.PivotBuckets = cl.idx.pivot, cl.idx.buckets
-		}
-		stats.Closure = len(closed)
-		subWorkers := opts.Workers
-		if subWorkers < 1 || opts.RoundParallel {
-			subWorkers = 1
-		}
-		kept, _ = eng.subsumeIncremental(closed, closedIdx, nil, 0, subWorkers)
-		if opts.Progress != nil {
-			opts.Progress(ComponentProgress{
-				Done: 1, Total: 1, Members: stats.OuterUnion, Closure: stats.Closure,
-				PivotColumn: stats.PivotColumn, PivotSkipped: stats.PivotSkipped,
-			})
-		}
-	} else {
-		comps := eng.partition(tuples)
-		stats.Components = len(comps)
-		var err error
-		kept, err = eng.closeComponents(ctx, comps, opts, bud, &stats)
-		if err != nil {
-			return nil, err
-		}
-		kept = eng.foldAllNull(kept)
-	}
-	stats.Subsumed = stats.Closure - len(kept)
-	stats.MemoryBytes = bud.bytes()
-
-	stats.Elapsed = time.Since(start)
-	return eng.materialize(kept, schema, stats), nil
+	return NewIndex().UpdateContext(ctx, tables, schema, opts)
 }
 
 // outerUnion projects every input row onto the integrated schema, interning
 // each distinct cell value into a fresh dictionary, and deduplicates by
-// cell signature, unioning provenance.
-func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple, *sigIndex) {
+// cell signature, unioning provenance. The oracle and the join operators
+// start from it; the Index ingests the same way, incrementally.
+func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple) {
 	dict := intern.NewDict()
 	eng := &engine{nCols: len(schema.Columns)}
 	var tuples []Tuple
@@ -449,7 +364,7 @@ func outerUnion(tables []*table.Table, schema Schema) (*engine, []Tuple, *sigInd
 	// Interning is complete: closures never mint symbols (merged cells reuse
 	// existing ones), so the engine freezes the dictionary here.
 	eng.dict = dict.Snapshot()
-	return eng, tuples, sigs
+	return eng, tuples
 }
 
 // mergeProv unions two sorted TID slices.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -17,9 +18,8 @@ import (
 // the single dominant connected component. IMDB-shaped inputs put ~70% of
 // closure work into one hub component, so component-granularity scheduling
 // leaves workers idle exactly when it matters; this fixture extracts that
-// hub as a standalone single-component integration set and races the three
-// closure engines inside it (sequential worklist, round-based parallel,
-// work-stealing concurrent).
+// hub as a standalone single-component integration set and races the
+// sequential closure against the pivot-partitioned engine inside it.
 
 // hubTables extracts the largest connected component of an IMDB-shaped
 // workload with total input tuples, materialized as a one-table
@@ -30,19 +30,18 @@ func hubTables(total int) []*table.Table {
 }
 
 // hubEngines are the engine variants the hub benchmark and BENCH_fd.json
-// sweep: the sequential baseline, its unbucketed ablation (the pivot
-// attempt-reduction gate compares the two), the round-based ablation, and
-// the work-stealing engine across worker counts.
+// sweep: the sequential baseline, its unbucketed variant (the pivot
+// attempt-reduction gate compares the two), and the pivot-partitioned
+// engine across worker counts.
 var hubEngines = []struct {
 	name string
 	opts fd.Options
 }{
 	{"seq", fd.Options{}},
-	{"seq-nopivot", fd.Options{NoPivot: true}},
-	{"round-par8", fd.Options{Workers: 8, RoundParallel: true}},
-	{"steal-par2", fd.Options{Workers: 2}},
-	{"steal-par4", fd.Options{Workers: 4}},
-	{"steal-par8", fd.Options{Workers: 8}},
+	{"seq-nopivot", fd.NoPivot(fd.Options{})},
+	{"pivot-par2", fd.Options{Workers: 2}},
+	{"pivot-par4", fd.Options{Workers: 4}},
+	{"pivot-par8", fd.Options{Workers: 8}},
 }
 
 func BenchmarkClosureHub(b *testing.B) {
@@ -75,32 +74,35 @@ func BenchmarkClosureHub(b *testing.B) {
 	}
 }
 
-// hubBenchReps is how many instrumented passes each engine gets; MS keeps
-// the best one, so a GC pause or scheduler hiccup in one pass cannot fake
-// a regression (or an inversion in the worker-count scaling curve).
-const hubBenchReps = 3
+// hubBenchReps is how many instrumented repetitions the report takes. Each
+// repetition runs every engine once, interleaved, so drift in the machine's
+// speed hits all engines alike; the report keeps medians and interquartile
+// ranges, so one GC pause or scheduler hiccup cannot fake a regression.
+const hubBenchReps = 7
 
 // hubBenchEngine is one engine's instrumented measurement. MergeAttempts
 // and PivotSkipped version the attempt-reduction claim alongside the
 // timing baseline: skipped candidates are exactly the iterations the
-// unbucketed engine would have spent failing the consistency check.
-// Allocs/AllocBytes are the heap traffic of a single pass — the shared-
-// state overhead the pivot-partitioned engine exists to avoid shows up
-// here before it shows up in wall clock.
+// unbucketed engine would have spent failing the consistency check. Both
+// are deterministic work counters. Allocs/AllocBytes are the heap traffic
+// of a single pass.
 type hubBenchEngine struct {
 	Name          string  `json:"name"`
 	Workers       int     `json:"workers"`
-	MS            float64 `json:"ms"`
+	MS            float64 `json:"ms"`     // median over the repetitions
+	IQRMS         float64 `json:"iqr_ms"` // interquartile range of the same
 	Allocs        uint64  `json:"allocs"`
 	AllocBytes    uint64  `json:"alloc_bytes"`
 	MergeAttempts int     `json:"merge_attempts"`
 	PivotSkipped  int     `json:"pivot_skipped"`
+	PivotGroups   int     `json:"pivot_groups"`
 }
 
-// hubBenchReport is the BENCH_fd.json schema. The CI regression gates
-// compare Steal8VsRound and PivotAttemptReduction against the checked-in
-// baseline — ratios, so the gates transfer across machines of different
-// absolute speed.
+// hubBenchReport is the BENCH_fd.json schema. The CI gates read
+// Par8VsSeq (median ≥ 1, and within 1.5x of the checked-in baseline),
+// PivotAttemptReduction (≥ 5), and the engines' merge-attempt counters
+// (pivot-par8 below seq) — ratios and counters, so the gates transfer
+// across machines of different absolute speed.
 type hubBenchReport struct {
 	Benchmark   string           `json:"benchmark"`
 	GoMaxProcs  int              `json:"gomaxprocs"`
@@ -108,32 +110,49 @@ type hubBenchReport struct {
 	HubMembers  int              `json:"hub_members"`
 	HubClosure  int              `json:"hub_closure"`
 	PivotColumn string           `json:"pivot_column"`
+	Reps        int              `json:"reps"`
 	Engines     []hubBenchEngine `json:"engines"`
-	Steal8VsSeq float64          `json:"steal8_vs_seq_speedup"`
-	// Steal8VsRound is the work-stealing engine's speedup over the
-	// round-based ablation at 8 workers; PivotAttemptReduction is the
-	// factor by which the pivot index cuts the sequential engine's merge
-	// attempts on the hub.
-	Steal8VsRound         float64 `json:"steal8_vs_round8_speedup"`
+	// Par8VsSeq is the median over repetitions of seq's time divided by
+	// pivot-par8's in the same repetition; Par8VsSeqIQR is its
+	// interquartile range. PivotAttemptReduction is the factor by which
+	// the pivot index cuts the sequential engine's merge attempts.
+	Par8VsSeq             float64 `json:"par8_vs_seq_speedup"`
+	Par8VsSeqIQR          float64 `json:"par8_vs_seq_speedup_iqr"`
 	PivotAttemptReduction float64 `json:"pivot_attempt_reduction"`
 }
 
-// writeHubBenchJSON runs hubBenchReps instrumented passes per engine over
-// the hub fixture and records best-of wall clock, per-pass heap traffic,
-// merge-attempt counters, and the derived ratios.
+// quartiles returns the median and interquartile range of xs (linear
+// interpolation between order statistics).
+func quartiles(xs []float64) (median, iqr float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return q(0.5), q(0.75) - q(0.25)
+}
+
+// writeHubBenchJSON runs hubBenchReps interleaved repetitions of every
+// engine over the hub fixture and records median wall clock with its
+// interquartile range, first-pass heap traffic, the work counters, and the
+// derived ratios.
 func writeHubBenchJSON(path string, tables []*table.Table, schema fd.Schema) error {
 	report := hubBenchReport{
 		Benchmark:   "closure_hub",
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		TotalTuples: 8000,
 		HubMembers:  len(tables[0].Rows),
+		Reps:        hubBenchReps,
+		Engines:     make([]hubBenchEngine, len(hubEngines)),
 	}
-	times := make(map[string]float64, len(hubEngines))
-	attempts := make(map[string]int, len(hubEngines))
-	for _, eng := range hubEngines {
-		var best float64
-		var allocs, allocBytes uint64
-		for rep := 0; rep < hubBenchReps; rep++ {
+	times := make([][]float64, len(hubEngines))
+	for rep := 0; rep < hubBenchReps; rep++ {
+		for ei, eng := range hubEngines {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start := time.Now()
@@ -141,45 +160,43 @@ func writeHubBenchJSON(path string, tables []*table.Table, schema fd.Schema) err
 			if err != nil {
 				return err
 			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
+			times[ei] = append(times[ei], float64(time.Since(start).Microseconds())/1000)
 			runtime.ReadMemStats(&after)
-			if rep == 0 {
-				// Mallocs/TotalAlloc are monotone process counters; the
-				// first pass's delta is the engine's heap traffic (the
-				// driver runs nothing else concurrently).
-				allocs = after.Mallocs - before.Mallocs
-				allocBytes = after.TotalAlloc - before.TotalAlloc
-				attempts[eng.name] = res.Stats.MergeAttempts
-				report.HubClosure = res.Stats.Closure
-				if p := res.Stats.PivotColumn; p >= 0 {
-					report.PivotColumn = schema.Columns[p]
-				}
-				report.Engines = append(report.Engines, hubBenchEngine{
-					Name:          eng.name,
-					MergeAttempts: res.Stats.MergeAttempts,
-					PivotSkipped:  res.Stats.PivotSkipped,
-				})
+			if rep > 0 {
+				continue
 			}
-			if rep == 0 || ms < best {
-				best = ms
+			// Mallocs/TotalAlloc are monotone process counters; the first
+			// pass's delta is the engine's heap traffic (the driver runs
+			// nothing else concurrently).
+			report.HubClosure = res.Stats.Closure
+			if p := res.Stats.PivotColumn; p >= 0 {
+				report.PivotColumn = schema.Columns[p]
+			}
+			report.Engines[ei] = hubBenchEngine{
+				Name:          eng.name,
+				Workers:       max(eng.opts.Workers, 1),
+				Allocs:        after.Mallocs - before.Mallocs,
+				AllocBytes:    after.TotalAlloc - before.TotalAlloc,
+				MergeAttempts: res.Stats.MergeAttempts,
+				PivotSkipped:  res.Stats.PivotSkipped,
+				PivotGroups:   res.Stats.PivotGroups,
 			}
 		}
-		times[eng.name] = best
-		e := &report.Engines[len(report.Engines)-1]
-		e.MS = best
-		e.Allocs = allocs
-		e.AllocBytes = allocBytes
-		e.Workers = eng.opts.Workers
-		if e.Workers < 1 {
-			e.Workers = 1
-		}
 	}
-	if t := times["steal-par8"]; t > 0 {
-		report.Steal8VsSeq = times["seq"] / t
-		report.Steal8VsRound = times["round-par8"] / t
+	at := make(map[string]int, len(hubEngines))
+	for ei, eng := range hubEngines {
+		at[eng.name] = ei
+		e := &report.Engines[ei]
+		e.MS, e.IQRMS = quartiles(times[ei])
 	}
-	if a := attempts["seq"]; a > 0 {
-		report.PivotAttemptReduction = float64(attempts["seq-nopivot"]) / float64(a)
+	seq, par8 := at["seq"], at["pivot-par8"]
+	ratios := make([]float64, hubBenchReps)
+	for rep := range ratios {
+		ratios[rep] = times[seq][rep] / times[par8][rep]
+	}
+	report.Par8VsSeq, report.Par8VsSeqIQR = quartiles(ratios)
+	if a := report.Engines[seq].MergeAttempts; a > 0 {
+		report.PivotAttemptReduction = float64(report.Engines[at["seq-nopivot"]].MergeAttempts) / float64(a)
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -208,7 +225,7 @@ func TestHubFixtureSingleComponent(t *testing.T) {
 	if res.Stats.PivotColumn < 0 {
 		t.Error("pivot index did not engage on the hub fixture")
 	}
-	flat, err := fd.FullDisjunction(tables, schema, fd.Options{NoPivot: true})
+	flat, err := fd.FullDisjunction(tables, schema, fd.NoPivot(fd.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +247,28 @@ func TestHubFixtureSingleComponent(t *testing.T) {
 		if !par.Table.Equal(res.Table) || !reflect.DeepEqual(par.Prov, res.Prov) {
 			t.Fatalf("%s: hub closure differs from sequential", eng.name)
 		}
-		if !eng.opts.RoundParallel && par.Stats.PivotGroups == 0 {
+		if par.Stats.PivotGroups == 0 {
 			t.Errorf("%s: pivot-partitioned engine did not engage on the hub", eng.name)
 		}
+		if par.Stats.MergeAttempts >= res.Stats.MergeAttempts {
+			t.Errorf("%s: %d merge attempts, sequential %d — the pivot groups should attempt fewer",
+				eng.name, par.Stats.MergeAttempts, res.Stats.MergeAttempts)
+		}
+	}
+}
+
+// TestIndexClosesHubWithPivotEngine: a fresh Index closing the full 8k hub
+// at 8 workers — the path core.Integrate, sessions and the daemon take —
+// reaches the pivot-partitioned engine, not the work-stealing one. Both
+// counters are deterministic.
+func TestIndexClosesHubWithPivotEngine(t *testing.T) {
+	tables := hubTables(8000)
+	res, err := fd.NewIndex().Update(tables, fd.IdentitySchema(tables), fd.Options{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PivotGroups == 0 || res.Stats.Shards != 0 {
+		t.Errorf("hub closed by the work-stealing engine: PivotGroups=%d Shards=%d, want >0 and 0",
+			res.Stats.PivotGroups, res.Stats.Shards)
 	}
 }

@@ -26,8 +26,8 @@ import (
 // edges as tuples arrive, so components can merge but never split, and a
 // component whose member set and provenance are unchanged has an unchanged
 // closure. Every Update therefore produces output byte-identical — tables
-// and provenance — to a one-shot FullDisjunction over the accumulated
-// input.
+// and provenance — to a fresh Index's first Update over the accumulated
+// input, which is what FullDisjunction runs.
 //
 // Update verifies, cheaply, that previously ingested rows still project to
 // their recorded tuples under the current schema and dictionary. When they
@@ -178,8 +178,8 @@ func (x *Index) Update(tables []*table.Table, schema Schema, opts Options) (*Res
 }
 
 // UpdateContext is Update under a context. Cancellation is observed at
-// component boundaries, inside component closures (see
-// FullDisjunctionContext), and while waiting on components claimed by
+// component boundaries, inside component closures (every cancelEvery
+// candidate expansions), and while waiting on components claimed by
 // concurrent Updates. A canceled Update keeps the ingested delta: its
 // dirty marks persist, so the next Update simply re-closes the affected
 // components — from their base tuples where the cancellation consumed a
@@ -189,16 +189,6 @@ func (x *Index) UpdateContext(ctx context.Context, tables []*table.Table, schema
 	if err := schema.Validate(tables); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
-	}
-	if opts.NoPartition {
-		// The flat global closure has no component structure to reuse;
-		// delegate to the one-shot engine. Later partitioned Updates pick
-		// the delta tracking back up.
-		return FullDisjunctionContext(ctx, tables, schema, opts)
-	}
-
 	var stats Stats
 	stats.PivotColumn = -1
 	for _, t := range tables {
@@ -230,24 +220,27 @@ type groupKept struct {
 	streamed bool
 }
 
-// dirtyEmit observes one dirty component group the moment its (re)closure
-// finishes, on the updating goroutine with the index lock released. eng is
-// the round's engine (dictionary snapshot), groups the number of component
-// groups in the round that closed it.
+// dirtyEmit observes one dirty component group once it and every group
+// claimed before it in its round have closed, on the updating goroutine
+// with the index lock released. eng is the round's engine (dictionary
+// snapshot), groups the number of component groups in the round that
+// closed it.
 type dirtyEmit func(eng *engine, members []int, groups int, r compResult) error
 
 // StreamContext ingests the accumulated integration set exactly like
 // UpdateContext but emits the result rows instead of materializing a
-// table: every component this call (re)closes streams as soon as its
-// closure finishes — the delta flows first, while other dirty components
-// are still closing — and once the index is fully clean the untouched
-// components replay from their cached kept tuples, paying only decode cost.
+// table: every component this call (re)closes streams as soon as it and
+// the components before it have closed — the delta flows first, while
+// other dirty components are still closing — and once the index is fully
+// clean the untouched components replay from their cached kept tuples,
+// paying only decode cost.
 // Rows within a component are emitted in value order; components arrive in
-// completion order for the re-closed delta and then in ingest order for the
-// clean replay, so the emitted row multiset equals UpdateContext's output
-// up to row order — with fd.Stream's all-null caveat: a fully-empty input
-// row's all-null output is dropped rather than provenance-folded when other
-// components exist, because its subsumer may already be out.
+// ingest order (by smallest member), first the re-closed delta and then
+// the clean replay, so the byte stream is the same at any worker count.
+// The emitted row multiset equals UpdateContext's output up to row order,
+// with one caveat: a fully-empty input row's all-null output is dropped
+// rather than provenance-folded when other components exist, because its
+// subsumer may already be out.
 //
 // emit runs on the calling goroutine. An emit error (or cancellation)
 // aborts the stream; rows already emitted stay emitted, the consumed
@@ -264,15 +257,6 @@ func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema
 	if err := schema.Validate(tables); err != nil {
 		return stats, err
 	}
-	if err := ctx.Err(); err != nil {
-		return stats, Canceled(err)
-	}
-	if opts.NoPartition {
-		// The flat global closure has no component structure to stream or
-		// reuse; delegate to the one-shot streaming engine, as UpdateContext
-		// delegates to the one-shot batch engine.
-		return Stream(ctx, tables, schema, opts, emit)
-	}
 	for _, t := range tables {
 		stats.InputTuples += len(t.Rows)
 	}
@@ -282,7 +266,7 @@ func (x *Index) StreamContext(ctx context.Context, tables []*table.Table, schema
 	emitComp := func(eng *engine, tuples []Tuple, groups int) error {
 		if len(tuples) == 1 && allNull(tuples[0].Cells) && groups > 1 {
 			// Dropped all-null singleton: counts as subsumed, exactly as the
-			// batch engine's foldAllNull and fd.Stream do.
+			// batch path's foldAllNull does.
 			kept--
 			return nil
 		}
@@ -719,7 +703,7 @@ func (x *Index) seedFast(members []int, owner *cachedComp, touched []bool) (clos
 	}
 	owner.store, owner.sigs, owner.post, owner.sub = nil, nil, nil, nil // consumed
 	return closeJob{
-		tuples: tuples, base: len(members), work: work, owned: true,
+		tuples: tuples, base: len(members), work: work,
 		sigs: sigs, post: post, subSeed: subSeed, subN: subN,
 	}, basePos
 }
@@ -781,12 +765,11 @@ func (x *Index) seedSlow(members []int, ownerOf []*cachedComp, touched []bool) (
 		}
 		c.store, c.sigs, c.post, c.sub = nil, nil, nil, nil // consumed
 	}
-	return closeJob{tuples: seed, base: len(members), work: work, owned: true, sigs: sigs}, basePos
+	return closeJob{tuples: seed, base: len(members), work: work, sigs: sigs}, basePos
 }
 
 // regroup derives the current component groups from the forest, ordered
-// by smallest member — exactly as the one-shot partitioner. Callers hold
-// x.mu.
+// by smallest member, members ascending. Callers hold x.mu.
 func (x *Index) regroup() [][]int {
 	roots := make(map[int]int, len(x.comps)+1)
 	var groups [][]int
@@ -928,9 +911,11 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 		seedExtra := 0 // reused closure tuples seeded into dirty comps, for budget parity
 		for _, members := range dirtyGroups {
 			job, basePos := x.seedDirty(members, ownerOf, x.dirty)
-			if len(job.work) == 0 {
-				// No dirty member located the delta (cache lost to a failed
-				// concurrent Update): re-close the whole seed store.
+			if len(job.work) == 0 || len(job.work) == len(job.tuples) {
+				// Either no dirty member located the delta (cache lost to a
+				// failed concurrent Update) or every seed is in it (a fresh
+				// component): re-close the whole seed store from scratch,
+				// which lets a hub take the pivot-partitioned engine.
 				job.work = nil
 			}
 			stats.SeedReusedTuples += len(job.tuples) - len(members)
@@ -952,9 +937,10 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 		// mid-flight; their eventual surplus is not counted.)
 		bud := newBudget(opts, len(x.base)+cleanExtra+seedExtra, eng)
 
-		// A streaming caller sees each dirty component the moment it closes,
-		// from the unlocked window below — the closeEach assembler delivers
-		// on this goroutine, so emission needs no extra synchronization.
+		// A streaming caller sees each dirty component as soon as it and
+		// every component before it have closed, from the unlocked window
+		// below — closeSet delivers on this goroutine, so emission needs no
+		// extra synchronization.
 		var hook func(ci int, r compResult) error
 		if onDirty != nil {
 			roundGroups := len(groups)
@@ -968,7 +954,8 @@ func (x *Index) closeLocked(ctx context.Context, opts Options, stats *Stats, onD
 			}
 		}
 		x.mu.Unlock()
-		results, err := eng.closeSetHook(ctx, jobs, opts, bud, stats, hook)
+		results, err := eng.closeSet(ctx, jobs, opts, bud, stats, hook)
+		stats.MemoryBytes = max(stats.MemoryBytes, bud.bytes())
 		x.mu.Lock()
 		x.claims -= len(jobs)
 		if err != nil {

@@ -178,8 +178,8 @@ func TestIndexStreamEmitError(t *testing.T) {
 
 // TestIndexStreamAllNullRow: fully-empty input rows never leak an all-null
 // output row into the stream, and the row-cell multiset still matches the
-// batch result (whose fold only moves provenance) — the same documented
-// divergence as the one-shot Stream.
+// batch result (whose fold only moves provenance) — the documented
+// streaming divergence.
 func TestIndexStreamAllNullRow(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -220,23 +220,5 @@ func TestIndexStreamAllNullRow(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestIndexStreamNoPartition: the NoPartition path delegates to the
-// one-shot stream and matches the batch multiset.
-func TestIndexStreamNoPartition(t *testing.T) {
-	tables := fig1Tables()
-	schema := IdentitySchema(tables)
-	rows, provs, _, err := indexStreamAll(NewIndex(), tables, schema, Options{NoPartition: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := FullDisjunction(tables, schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lineSet(rows, provs), lineSet(want.Table.Rows, want.Prov)) {
-		t.Fatal("NoPartition stream multiset differs from batch")
 	}
 }

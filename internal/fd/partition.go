@@ -37,10 +37,10 @@ import (
 // can actually merge. The mergeable relation keeps components aligned with
 // the real join structure.
 //
-// Candidate pairs are enumerated from the posting lists (adjacent tuples
-// share a value, so every edge appears in some list) with two prunes:
-// pairs already in one component skip the consistency check, and each
-// pair is checked at most once per list.
+// The Index maintains the partition incrementally: each ingested tuple
+// enumerates its candidate neighbors from the posting lists (adjacent
+// tuples share a value, so every edge appears in some list), and pairs
+// already in one component skip the consistency check.
 
 // unionFind is a disjoint-set forest with path halving and union by size.
 // (internal/assign carries its own copy for its purposes; this one stays
@@ -102,65 +102,18 @@ func consistentCells(a, b []uint32) bool {
 	return true
 }
 
-// partition groups outer-union tuples into connected components of the
-// mergeable-pair relation. Components are ordered by their smallest member
-// (outer-union order) and keep their members in that order, so the result
-// is deterministic. All-null tuples (possible only from fully-empty input
-// rows) form singleton components.
-func (e *engine) partition(tuples []Tuple) [][]Tuple {
-	if len(tuples) == 0 {
-		return nil
-	}
-	uf := newUnionFind(len(tuples))
-	idx := newPostingIndex(e.nCols)
-	for i := range tuples {
-		idx.add(i, tuples[i].Cells)
-	}
-	for _, col := range idx.byCol {
-		for _, posting := range col {
-			for pi, i := range posting {
-				for _, j := range posting[pi+1:] {
-					if uf.find(i) != uf.find(j) && consistentCells(tuples[i].Cells, tuples[j].Cells) {
-						uf.union(i, j)
-					}
-				}
-			}
-		}
-	}
-	// Number components by first-seen root so the grouping is independent
-	// of map iteration order.
-	compOf := make(map[int]int)
-	var comps [][]Tuple
-	for i := range tuples {
-		r := uf.find(i)
-		ci, ok := compOf[r]
-		if !ok {
-			ci = len(comps)
-			compOf[r] = ci
-			comps = append(comps, nil)
-		}
-		comps[ci] = append(comps[ci], tuples[i])
-	}
-	return comps
-}
-
 // closeJob describes one component closure: the seed store (base tuples
 // first, then any closure tuples reused from a previous run of the same
-// component) and the worklist of store IDs whose candidate pairs have not
-// been examined yet. A one-shot closure is the trivial job — seed = the
-// component's base tuples, nil worklist (expand everything).
+// component, see Index.seedDirty) and the worklist of store IDs whose
+// candidate pairs have not been examined yet. The closure owns the seed:
+// it grows the store and folds provenance in place.
 type closeJob struct {
 	tuples []Tuple
 	base   int   // count of outer-union (base) tuples in the seed
 	work   []int // store IDs to expand; nil closes from scratch
-	// owned marks seed slices built for this job alone (the incremental
-	// index constructs them fresh): the closure may grow and mutate them in
-	// place. Unowned seeds (partitioner output) are copied first.
-	owned bool
-	// sigs, when non-nil, is a signature index already built over tuples;
-	// the sequential closure consumes it in place instead of re-hashing the
-	// store. The work-stealing engine builds its own sharded index either
-	// way.
+	// sigs is the signature index over tuples; the sequential closure
+	// consumes it in place instead of re-hashing the store. The
+	// work-stealing engine builds its own sharded index.
 	sigs *sigIndex
 	// post, when non-nil, is a posting index already covering tuples
 	// (cached from the component's previous closure); the sequential
@@ -172,15 +125,6 @@ type closeJob struct {
 	// the store's growth (see subsumeIncremental).
 	subSeed []int32
 	subN    int
-}
-
-// jobsOf wraps freshly partitioned components as from-scratch close jobs.
-func jobsOf(comps [][]Tuple) []closeJob {
-	jobs := make([]closeJob, len(comps))
-	for ci, comp := range comps {
-		jobs[ci] = closeJob{tuples: comp, base: len(comp)}
-	}
-	return jobs
 }
 
 // compResult is the outcome of closing one component.
@@ -200,32 +144,19 @@ type compResult struct {
 	err     error
 }
 
-// newJobClosure copies a job's seed store into a fresh sequential closure
-// (the store grows and its provenance is folded in place, so the caller's
-// slices must stay untouched). A fresh posting index is bucketed by the
-// pivot column chosen over the seed; a cached index (job.post) keeps the
-// pivot it was built with, except that NoPivot strips its buckets — the
-// flat lists stay valid either way.
+// newJobClosure wraps a job's seed store in a sequential closure. A fresh
+// posting index is bucketed by the pivot column chosen over the seed; a
+// cached index (job.post) keeps the pivot it was built with, except that
+// the noPivot hook strips its buckets — the flat lists stay valid either
+// way.
 func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) *closure {
-	tuples := job.tuples
-	if !job.owned {
-		tuples = make([]Tuple, len(job.tuples))
-		copy(tuples, job.tuples)
-	}
-	sigs := job.sigs
-	if sigs == nil {
-		sigs = newSigIndex()
-		for i := range tuples {
-			sigs.add(tuples[i].Cells, i)
-		}
-	}
 	if job.post != nil {
-		if opts.NoPivot && job.post.pivot >= 0 {
+		if opts.noPivot && job.post.pivot >= 0 {
 			job.post.pivot, job.post.byPivot, job.post.buckets = -1, nil, 0
 		}
-		return &closure{eng: e, tuples: tuples, sigs: sigs, idx: job.post, bud: bud}
+		return &closure{eng: e, tuples: job.tuples, sigs: job.sigs, idx: job.post, bud: bud}
 	}
-	return newClosure(e, tuples, sigs, bud, pivotFor(opts, tuples, e.nCols))
+	return newClosure(e, job.tuples, job.sigs, bud, pivotFor(opts, job.tuples, e.nCols))
 }
 
 // closeOne closes one component job (complementation closure followed by
@@ -251,39 +182,28 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 	return compResult{kept: kept, store: cl.tuples, sigs: cl.sigs, post: cl.idx, sub: sub, stats: st, closure: len(cl.tuples)}
 }
 
-// closeOnePar closes one component job with every worker inside it — the
-// work-stealing engine by default, the round-based ablation with
-// Options.RoundParallel. Used for a hub component that dominates the input
-// (or a single-component input), where scheduling whole components across
-// workers would leave all but one of them idle.
+// closeOnePar closes one component job with every worker inside it. Used
+// for a hub component that dominates the input (or a single-component
+// input), where scheduling whole components across workers would leave all
+// but one of them idle.
 func (e *engine) closeOnePar(ctx context.Context, job closeJob, opts Options, bud *budget) compResult {
 	var st Stats
 	var closed []Tuple
-	if opts.RoundParallel {
-		cl := newJobClosure(e, job, opts, bud)
-		st.PivotColumn = cl.idx.pivot
-		if err := cl.runParallel(ctx, opts.Workers, job.work, &st); err != nil {
-			return compResult{err: err}
-		}
-		st.PivotBuckets = cl.idx.buckets
-		closed = cl.tuples
+	var err error
+	pivot := pivotFor(opts, job.tuples, e.nCols)
+	if pivot >= 0 && job.work == nil {
+		// Full closure with a pivot: the pivot-partitioned engine closes
+		// disjoint pivot groups with no shared mutable state. Incremental
+		// re-closure (a partial worklist) needs every pair involving the
+		// delta attempted across the whole cached store, which the group
+		// decomposition does not cover — that stays on the work-stealing
+		// engine.
+		closed, err = closePivotPar(ctx, e, job.tuples, pivot, opts.Workers, bud, &st)
 	} else {
-		var err error
-		pivot := pivotFor(opts, job.tuples, e.nCols)
-		if pivot >= 0 && job.work == nil {
-			// Full closure with a pivot: the pivot-partitioned engine closes
-			// disjoint pivot groups with no shared mutable state. Incremental
-			// re-closure (a partial worklist) needs every pair involving the
-			// delta attempted across the whole cached store, which the group
-			// decomposition does not cover — that stays on the work-stealing
-			// engine.
-			closed, err = closePivotPar(ctx, e, job.tuples, pivot, opts.Workers, bud, &st)
-		} else {
-			closed, err = closeConcurrent(ctx, e, job.tuples, job.work, opts.Workers, resolveShards(opts), pivot, bud, &st)
-		}
-		if err != nil {
-			return compResult{err: err}
-		}
+		closed, err = closeConcurrent(ctx, e, job.tuples, job.work, opts.Workers, resolveShards(opts.Workers), pivot, bud, &st)
+	}
+	if err != nil {
+		return compResult{err: err}
 	}
 	kept, sub := e.subsumeIncremental(closed, nil, nil, 0, opts.Workers)
 	return compResult{kept: kept, store: closed, sub: sub, stats: st, closure: len(closed)}
@@ -305,13 +225,14 @@ const (
 // closeEach closes every listed component job, handing each result to
 // deliver on the calling goroutine as soon as its component finishes
 // (completion order, tagged with the component index) — which is what
-// backs streaming output and per-component progress. With workers > 1 the
-// jobs are split three ways: a hub component holding at least half of the
-// seed tuples (or a lone component) is closed first with every worker
-// inside it; components up to smallCompMax tuples run inline on the
-// assembler (no goroutine spawn — WithParallelFD must never pessimize a
-// tiny-component workload); the rest are scheduled whole across a worker
-// pool, largest first, flowing back to the assembler through a channel.
+// backs streaming output (reordered by closeSet) and per-component
+// progress. With workers > 1 the jobs are split three ways: a hub
+// component holding at least half of the seed tuples (or a lone component)
+// is closed first with every worker inside it; components up to
+// smallCompMax tuples run inline on the assembler (no goroutine spawn —
+// WithParallelFD must never pessimize a tiny-component workload); the rest
+// are scheduled whole across a worker pool, largest first, flowing back to
+// the assembler through a channel.
 // The context is checked at every component boundary (and inside
 // components by the closure engines). Returns the first component error,
 // context cancellation, or deliver error; later deliveries are suppressed
@@ -462,35 +383,33 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 
 // closeSet closes the listed component jobs through closeEach and returns
 // one compResult per job, in order. Merge work counters land in stats and
-// opts.Progress observes every completion. This is the single
-// implementation both the one-shot engine (over all components) and the
-// incremental index (over the dirty ones) close through, so the two paths
-// cannot diverge.
-func (e *engine) closeSet(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats) ([]compResult, error) {
-	return e.closeSetHook(ctx, jobs, opts, bud, stats, nil)
-}
-
-// closeSetHook is closeSet with an optional per-completion hook, called on
-// the assembling goroutine right after each component's bookkeeping and
-// progress report — the extension point the incremental index's streaming
-// path uses to emit a re-closed component's rows the moment it finishes. A
-// hook error aborts the set exactly like a closure error (in-flight
-// components drain, the error propagates).
-func (e *engine) closeSetHook(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats, hook func(ci int, r compResult) error) ([]compResult, error) {
+// opts.Progress observes every completion. A non-nil hook sees every
+// component's result on the assembling goroutine in job order — completions
+// that overtake an earlier job wait in a reorder buffer until the prefix
+// before them is complete, so a streaming caller emits the same sequence at
+// any worker count. Progress fires after the hook has seen every result the
+// completion released, so a consumer may flush its sink there. A hook error
+// aborts the set exactly like a closure error (in-flight components drain,
+// the error propagates).
+func (e *engine) closeSet(ctx context.Context, jobs []closeJob, opts Options, bud *budget, stats *Stats, hook func(ci int, r compResult) error) ([]compResult, error) {
 	results := make([]compResult, len(jobs))
-	done := 0
+	closed := make([]bool, len(jobs))
+	done, next := 0, 0
 	err := e.closeEach(ctx, jobs, opts, bud, func(ci int, r compResult) error {
 		results[ci] = r
+		closed[ci] = true
 		stats.mergeWork(r.stats)
 		done++
+		for ; hook != nil && next < len(jobs) && closed[next]; next++ {
+			if err := hook(next, results[next]); err != nil {
+				return err
+			}
+		}
 		if opts.Progress != nil {
 			opts.Progress(ComponentProgress{
 				Done: done, Total: len(jobs), Members: jobs[ci].base, Closure: r.closure,
 				PivotColumn: r.stats.PivotColumn, PivotSkipped: r.stats.PivotSkipped,
 			})
-		}
-		if hook != nil {
-			return hook(ci, r)
 		}
 		return nil
 	})
@@ -498,36 +417,6 @@ func (e *engine) closeSetHook(ctx context.Context, jobs []closeJob, opts Options
 		return nil, err
 	}
 	return results, nil
-}
-
-// closeComponents runs complementation closure and subsumption removal on
-// every component and concatenates the surviving tuples in component
-// order. The shared budget bounds the total tuple count across all
-// components, matching the global engine's Options.MaxTuples semantics.
-func (e *engine) closeComponents(ctx context.Context, comps [][]Tuple, opts Options, bud *budget, stats *Stats) ([]Tuple, error) {
-	for _, comp := range comps {
-		if len(comp) > stats.LargestComp {
-			stats.LargestComp = len(comp)
-		}
-	}
-	stats.DirtyComponents = len(comps)
-
-	results, err := e.closeSet(ctx, jobsOf(comps), opts, bud, stats)
-	if err != nil {
-		return nil, err
-	}
-	var kept []Tuple
-	for ci := range results {
-		r := &results[ci]
-		stats.Closure += r.closure
-		if r.closure > stats.LargestClose {
-			stats.LargestClose = r.closure
-			stats.PivotColumn = r.stats.PivotColumn
-		}
-		kept = append(kept, r.kept...)
-	}
-	stats.ReclosedTuples = stats.Closure
-	return kept, nil
 }
 
 // foldAllNull removes a surviving all-null tuple when any informative tuple

@@ -81,7 +81,7 @@ func TestChoosePivot(t *testing.T) {
 // on the pivot column — i.e. could never have merged anyway.
 func TestPivotedCandidatesSoundAndComplete(t *testing.T) {
 	tables := catTables(40)
-	eng, base, _ := outerUnion(tables, IdentitySchema(tables))
+	eng, base := outerUnion(tables, IdentitySchema(tables))
 	pivot := choosePivot(base, eng.nCols)
 	if pivot < 0 {
 		t.Fatal("pivot did not engage on the fixture")
@@ -161,17 +161,16 @@ func TestConcPivotListConcurrentMint(t *testing.T) {
 	}
 }
 
-// TestPivotEnginesByteIdentical: with the pivot engaged, every engine
-// variant is byte-identical — tables and provenance — to the unbucketed
-// sequential closure, and each reports pivot work: candidates skipped and
-// buckets minted live during the closure (the merged category row mints
-// tax-column buckets in all four closure paths, covering the concurrent
-// engine's locked slow path under a component large enough to engage
-// intra-component work stealing).
+// TestPivotEnginesByteIdentical: with the pivot engaged, every worker count
+// is byte-identical — tables and provenance — to the unbucketed sequential
+// closure, and each reports pivot work: the sequential closure skips
+// candidates and mints buckets live (the merged category row mints
+// tax-column buckets), and the parallel runs close the hub with the
+// pivot-partitioned engine.
 func TestPivotEnginesByteIdentical(t *testing.T) {
 	tables := catTables(300)
 	schema := IdentitySchema(tables)
-	ref, err := FullDisjunction(tables, schema, Options{NoPivot: true})
+	ref, err := FullDisjunction(tables, schema, NoPivot(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +194,8 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"seq", Options{}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 		{"steal4", Options{Workers: 4}},
-		{"steal8", Options{Workers: 8, Shards: 8}},
-		{"flat-seq", Options{NoPartition: true}},
-		{"flat-steal4", Options{NoPartition: true, Workers: 4}},
+		{"steal8", Options{Workers: 8}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			got, err := FullDisjunction(tables, schema, v.opts)
@@ -213,7 +209,7 @@ func TestPivotEnginesByteIdentical(t *testing.T) {
 			if st.PivotColumn != idCol {
 				t.Errorf("pivot column %d, want the id column", st.PivotColumn)
 			}
-			if v.opts.Workers > 1 && !v.opts.RoundParallel {
+			if v.opts.Workers > 1 {
 				// The pivot-partitioned engine replaces bucketed candidate
 				// pruning with disjoint per-pivot groups: nothing is skipped
 				// or minted because cross-group pairs are never enumerated.
@@ -249,16 +245,14 @@ func TestPivotBudgetDeterministic(t *testing.T) {
 		t.Fatal("fixture must engage the pivot index")
 	}
 	limit := ref.Stats.Closure
-	for _, workers := range []int{1, 4} {
-		for _, round := range []bool{false, true} {
-			opts := Options{Workers: workers, RoundParallel: round, MaxTuples: limit}
-			if _, err := FullDisjunction(tables, schema, opts); err != nil {
-				t.Fatalf("workers=%d round=%v: budget at the limit failed: %v", workers, round, err)
-			}
-			opts.MaxTuples = limit - 1
-			if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
-				t.Fatalf("workers=%d round=%v: budget below the limit returned %v", workers, round, err)
-			}
+	for _, workers := range []int{1, 4, 8} {
+		opts := Options{Workers: workers, MaxTuples: limit}
+		if _, err := FullDisjunction(tables, schema, opts); err != nil {
+			t.Fatalf("workers=%d: budget at the limit failed: %v", workers, err)
+		}
+		opts.MaxTuples = limit - 1
+		if _, err := FullDisjunction(tables, schema, opts); !errors.Is(err, ErrTupleBudget) {
+			t.Fatalf("workers=%d: budget below the limit returned %v", workers, err)
 		}
 	}
 }
@@ -283,7 +277,6 @@ func TestPivotIndexCancelAndBudgetRecover(t *testing.T) {
 	}{
 		{"seq", Options{}},
 		{"steal4", Options{Workers: 4}},
-		{"round4", Options{Workers: 4, RoundParallel: true}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			x := NewIndex()
@@ -327,14 +320,14 @@ func TestIndexNoPivotOverCachedPivotedComponent(t *testing.T) {
 	if first.Stats.PivotColumn < 0 {
 		t.Fatal("seed Update must cache a pivoted posting index")
 	}
-	got, err := x.Update(tables, schema, Options{NoPivot: true})
+	got, err := x.Update(tables, schema, NoPivot(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats.PivotColumn != -1 {
 		t.Errorf("NoPivot Update reports pivot column %d", got.Stats.PivotColumn)
 	}
-	want, err := FullDisjunction(tables, schema, Options{NoPivot: true})
+	want, err := FullDisjunction(tables, schema, NoPivot(Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

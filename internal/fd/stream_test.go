@@ -11,17 +11,10 @@ import (
 	"fuzzyfd/internal/table"
 )
 
-// streamAll drains Stream into row/prov slices.
-func streamAll(t *testing.T, ctx context.Context, tables []*table.Table, opts Options) ([]table.Row, [][]TID, Stats, error) {
-	t.Helper()
-	var rows []table.Row
-	var provs [][]TID
-	stats, err := Stream(ctx, tables, IdentitySchema(tables), opts, func(row table.Row, prov []TID) error {
-		rows = append(rows, row)
-		provs = append(provs, prov)
-		return nil
-	})
-	return rows, provs, stats, err
+// streamAll drains a fresh Index's stream under the identity schema — the
+// one-shot streaming path.
+func streamAll(tables []*table.Table, opts Options) ([]table.Row, [][]TID, Stats, error) {
+	return indexStreamAll(NewIndex(), tables, IdentitySchema(tables), opts)
 }
 
 // rowKey renders a row for order-insensitive comparison.
@@ -37,11 +30,26 @@ func rowKey(row table.Row) string {
 	return s
 }
 
+// chainGroups builds one chainTables-shaped component per size, over
+// shared column names but disjoint values: components large enough for the
+// worker pool, whose completions can overtake each other.
+func chainGroups(sizes ...int) []*table.Table {
+	var tables []*table.Table
+	for g, n := range sizes {
+		for i := 0; i < n; i++ {
+			t := table.New(fmt.Sprintf("G%dL%d", g, i), fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1))
+			t.MustAppendRow(table.S(fmt.Sprintf("g%dv%d", g, i)), table.S(fmt.Sprintf("g%dv%d", g, i+1)))
+			tables = append(tables, t)
+		}
+	}
+	return tables
+}
+
 // TestStreamMatchesBatch: the streamed row multiset and provenance equal
 // FullDisjunction's, up to row order, sequentially and with workers — and
 // the two orders are identical to each other (deterministic assembly).
 func TestStreamMatchesBatch(t *testing.T) {
-	for _, tables := range [][]*table.Table{fig1Tables(), fig1Fuzzy(), chainTables(12)} {
+	for _, tables := range [][]*table.Table{fig1Tables(), fig1Fuzzy(), chainTables(12), chainGroups(30, 18, 25, 20)} {
 		schema := IdentitySchema(tables)
 		want, err := FullDisjunction(tables, schema, Options{})
 		if err != nil {
@@ -52,7 +60,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			wantKeys[rowKey(row)] = want.Prov[i]
 		}
 
-		seqRows, seqProvs, stats, err := streamAll(t, context.Background(), tables, Options{})
+		seqRows, seqProvs, stats, err := streamAll(tables, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,13 +84,32 @@ func TestStreamMatchesBatch(t *testing.T) {
 			t.Errorf("stream Subsumed=%d, batch %d", stats.Subsumed, want.Stats.Subsumed)
 		}
 
-		parRows, parProvs, _, err := streamAll(t, context.Background(), tables, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{4, 8} {
+			parRows, parProvs, _, err := streamAll(tables, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(parRows, seqRows) || !reflect.DeepEqual(parProvs, seqProvs) {
+				t.Errorf("stream order at %d workers differs from sequential stream order", workers)
+			}
 		}
-		if !reflect.DeepEqual(parRows, seqRows) || !reflect.DeepEqual(parProvs, seqProvs) {
-			t.Error("parallel stream order differs from sequential stream order")
-		}
+	}
+}
+
+// TestStreamFig1: the paper's fuzzy Figure 1 streams its five integrated
+// rows out of at least four independent components.
+func TestStreamFig1(t *testing.T) {
+	rows, _, stats, err := streamAll(fig1Fuzzy(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("stream yielded %d rows, want 5", len(rows))
+	}
+	// Fig. 1 fuzzy splits into per-city components (New Delhi alone,
+	// Boston+US, ...).
+	if stats.Components < 4 {
+		t.Errorf("components=%d", stats.Components)
 	}
 }
 
@@ -98,7 +125,7 @@ func TestStreamAllNullRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, stats, err := streamAll(t, context.Background(), tables, Options{})
+	rows, _, stats, err := streamAll(tables, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +143,72 @@ func TestStreamAllNullRow(t *testing.T) {
 	}
 	if stats.Subsumed != want.Stats.Subsumed {
 		t.Errorf("stream Subsumed=%d, batch %d", stats.Subsumed, want.Stats.Subsumed)
+	}
+}
+
+// TestStreamEmpty: an empty integration set streams nothing and reports no
+// components.
+func TestStreamEmpty(t *testing.T) {
+	empty := table.New("e", "a")
+	rows, _, stats, err := streamAll([]*table.Table{empty}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 || stats.Components != 0 {
+		t.Errorf("empty input streamed %d rows over %d components", len(rows), stats.Components)
+	}
+}
+
+// TestStreamSchemaError: an invalid schema is rejected before anything
+// streams.
+func TestStreamSchemaError(t *testing.T) {
+	tables := fig1Fuzzy()
+	bad := IdentitySchema(tables)
+	bad.Mapping[0][0] = 99
+	_, err := NewIndex().StreamContext(context.Background(), tables, bad, Options{}, func(table.Row, []TID) error {
+		t.Fatal("row emitted under an invalid schema")
+		return nil
+	})
+	if err == nil {
+		t.Error("invalid schema accepted")
+	}
+}
+
+// TestStreamBudgetError: a closure over the tuple budget fails the stream
+// with ErrTupleBudget.
+func TestStreamBudgetError(t *testing.T) {
+	_, _, _, err := streamAll(fig1Fuzzy(), Options{MaxTuples: 1})
+	if !errors.Is(err, ErrTupleBudget) {
+		t.Errorf("want ErrTupleBudget, got %v", err)
+	}
+}
+
+// TestStreamEmitsBeforeBudgetFailure: streaming delivers the components
+// closed before the budget runs out — two components where only the second
+// blows the (global) budget, and the first component's row arrives before
+// the error.
+func TestStreamEmitsBeforeBudgetFailure(t *testing.T) {
+	// Component 1 (ingested, so closed and emitted, first): one pair that
+	// merges into a single row.
+	t1 := table.New("t1", "d", "e")
+	t1.MustAppendRow(table.S("k1"), table.S("x"))
+	t2 := table.New("t2", "d", "f")
+	t2.MustAppendRow(table.S("k1"), table.S("y"))
+	// Component 2: 4×4 joinable rows whose 16 merges exceed the budget.
+	t3 := table.New("t3", "a", "b")
+	t4 := table.New("t4", "a", "c")
+	for i := 0; i < 4; i++ {
+		t3.MustAppendRow(table.S("k2"), table.S(string(rune('p'+i))))
+		t4.MustAppendRow(table.S("k2"), table.S(string(rune('u'+i))))
+	}
+	tables := []*table.Table{t1, t2, t3, t4}
+	// 10 base tuples plus the pair's merge fit; the big component's do not.
+	rows, _, _, err := streamAll(tables, Options{MaxTuples: 12})
+	if !errors.Is(err, ErrTupleBudget) {
+		t.Fatalf("want ErrTupleBudget from the big component, got %v", err)
+	}
+	if len(rows) != 1 || rows[0][0].Val != "k1" {
+		t.Errorf("want the pair component's row before the failure, got %v", rows)
 	}
 }
 
@@ -137,7 +230,7 @@ func TestStreamEmitsBeforeCompletion(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var got int
-	_, err := Stream(ctx, tables, schema, Options{}, func(row table.Row, prov []TID) error {
+	_, err := NewIndex().StreamContext(ctx, tables, schema, Options{}, func(row table.Row, prov []TID) error {
 		got++
 		if got == 2 {
 			cancel()
@@ -164,7 +257,7 @@ func TestStreamEmitsBeforeCompletion(t *testing.T) {
 func TestStreamEmitError(t *testing.T) {
 	tables := fig1Tables()
 	boom := errors.New("sink failed")
-	_, err := Stream(context.Background(), tables, IdentitySchema(tables), Options{}, func(table.Row, []TID) error {
+	_, err := NewIndex().StreamContext(context.Background(), tables, IdentitySchema(tables), Options{}, func(table.Row, []TID) error {
 		return boom
 	})
 	if !errors.Is(err, boom) {
@@ -173,22 +266,42 @@ func TestStreamEmitError(t *testing.T) {
 }
 
 // TestStreamProgress: per-component progress events arrive in completion
-// order with a stable total.
+// order with a stable total, and each fires after the rows its completion
+// released are out — the last one after the last row, so a consumer that
+// flushes on Progress has flushed everything.
 func TestStreamProgress(t *testing.T) {
-	tables := fig1Tables()
-	var events []ComponentProgress
-	opts := Options{Progress: func(p ComponentProgress) { events = append(events, p) }}
-	if _, err := Stream(context.Background(), tables, IdentitySchema(tables), opts, func(table.Row, []TID) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no progress events")
-	}
-	if !sort.SliceIsSorted(events, func(a, b int) bool { return events[a].Done < events[b].Done }) {
-		t.Errorf("progress Done counts not monotonic: %+v", events)
-	}
-	last := events[len(events)-1]
-	if last.Done != last.Total || last.Total != len(events) {
-		t.Errorf("progress did not cover all components: %+v", events)
+	for _, tables := range [][]*table.Table{fig1Tables(), chainGroups(30, 18, 25, 20)} {
+		for _, workers := range []int{1, 8} {
+			var events []ComponentProgress
+			var rowsAt []int // rows emitted when each event fired
+			rows := 0
+			opts := Options{Workers: workers, Progress: func(p ComponentProgress) {
+				events = append(events, p)
+				rowsAt = append(rowsAt, rows)
+			}}
+			_, err := NewIndex().StreamContext(context.Background(), tables, IdentitySchema(tables), opts, func(table.Row, []TID) error {
+				rows++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) == 0 {
+				t.Fatal("no progress events")
+			}
+			if !sort.SliceIsSorted(events, func(a, b int) bool { return events[a].Done < events[b].Done }) {
+				t.Errorf("workers=%d: progress Done counts not monotonic: %+v", workers, events)
+			}
+			last := events[len(events)-1]
+			if last.Done != last.Total || last.Total != len(events) {
+				t.Errorf("workers=%d: progress did not cover all components: %+v", workers, events)
+			}
+			if rowsAt[len(rowsAt)-1] != rows {
+				t.Errorf("workers=%d: last progress event fired with %d of %d rows out", workers, rowsAt[len(rowsAt)-1], rows)
+			}
+			if workers == 1 && rowsAt[0] == 0 {
+				t.Error("first component's progress fired before its rows were out")
+			}
+		}
 	}
 }

@@ -25,13 +25,7 @@ const subsumeParMin = 256
 // values; scanning the tuple's rarest posting list therefore finds all
 // potential subsumers without a quadratic pass.
 func (e *engine) subsume(tuples []Tuple) []Tuple {
-	return e.subsumeIndexed(tuples, nil)
-}
-
-// subsumeIndexed is subsume with an optional posting index already covering
-// tuples (the closure that just produced the store has one); nil builds it.
-func (e *engine) subsumeIndexed(tuples []Tuple, idx *postingIndex) []Tuple {
-	kept, _ := e.subsumeIncremental(tuples, idx, nil, 0, 1)
+	kept, _ := e.subsumeIncremental(tuples, nil, nil, 0, 1)
 	return kept
 }
 
