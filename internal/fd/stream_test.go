@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"fuzzyfd/internal/table"
 )
@@ -93,6 +95,35 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Errorf("stream order at %d workers differs from sequential stream order", workers)
 			}
 		}
+	}
+}
+
+// TestStreamMatchesBatchRandom: on random tables, fully-empty rows
+// included, the streamed rows equal the batch result's cells up to order.
+func TestStreamMatchesBatchRandom(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tables := randomTables(r)
+		schema := IdentitySchema(tables)
+		rows, _, _, err := streamAll(tables, Options{})
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		batch, err := FullDisjunction(tables, schema, Options{})
+		if err != nil {
+			return false
+		}
+		if len(rows) != batch.Table.NumRows() {
+			t.Logf("seed %d: streamed %d vs batch %d", seed, len(rows), batch.Table.NumRows())
+			return false
+		}
+		stream := table.New("FD", schema.Columns...)
+		stream.Rows = rows
+		return stream.EqualRowsUnordered(batch.Table)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
