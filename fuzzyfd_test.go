@@ -1,8 +1,12 @@
 package fuzzyfd
 
 import (
+	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
+
+	"fuzzyfd/internal/datagen"
 )
 
 func covidTables() []*Table {
@@ -43,6 +47,46 @@ func TestIntegrateEquiJoinBaseline(t *testing.T) {
 	if res.Table.NumRows() != 9 {
 		t.Errorf("rows=%d want 9", res.Table.NumRows())
 	}
+}
+
+// TestIMDBFuzzyMatchesEqui: IMDB keys are consistent across tables, so
+// Fuzzy FD must rewrite none of them and return exactly the equi-join
+// result, rows and provenance alike. At 6,000 tuples the key column pairs
+// exceed match.DefaultDenseLimit, so this runs the blocked sparse solver.
+func TestIMDBFuzzyMatchesEqui(t *testing.T) {
+	tables := datagen.IMDB(datagen.IMDBConfig{Seed: 11, TotalTuples: 6000})
+	fz, err := Integrate(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fz.MatchStats.Rewrites != 0 {
+		t.Errorf("%d rewrites of consistent keys", fz.MatchStats.Rewrites)
+	}
+	eq, err := Integrate(tables, WithEquiJoin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderResult(fz), renderResult(eq); !bytes.Equal(got, want) {
+		t.Errorf("Fuzzy FD differs from equi-join FD: %d vs %d rows", fz.Table.NumRows(), eq.Table.NumRows())
+	}
+}
+
+// renderResult is a canonical byte form of a result's rows with their
+// provenance.
+func renderResult(res *Result) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%q\n", res.Table.Columns)
+	for row, prov := range res.Rows() {
+		for _, c := range row {
+			if c.IsNull {
+				b.WriteString("\x00,")
+			} else {
+				fmt.Fprintf(&b, "%q,", c.Val)
+			}
+		}
+		fmt.Fprintf(&b, "%v\n", prov)
+	}
+	return b.Bytes()
 }
 
 func TestOptionCombinations(t *testing.T) {

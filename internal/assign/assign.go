@@ -6,10 +6,16 @@
 // Three solvers are provided:
 //
 //   - Solve: exact O(n²·m) dense solver (Jonker–Volgenant style potentials
-//     with shortest augmenting paths), for complete cost matrices.
-//   - MatchSparse: exact solver for sparse candidate graphs; solves each
-//     connected component independently, which is equivalent to a dense
-//     solve where absent edges carry a prohibitive cost.
+//     with shortest augmenting paths), for complete cost matrices. It backs
+//     the dense match path and is the oracle MatchSparse is tested against.
+//   - MatchSparse: exact solver for sparse candidate graphs. It solves each
+//     connected component by successive shortest augmenting paths over the
+//     component's edge lists (Dijkstra with row and column potentials),
+//     giving every row a private dummy column at a prohibitive cost so that
+//     cardinality dominates cost. Memory is O(rows + cols + edges), never
+//     rows × cols. The result equals a dense Solve with absent edges
+//     Forbidden in cardinality and total cost; among tied optima the two
+//     may pick different pairs.
 //   - Greedy: the classic lowest-edge-first heuristic, used as an ablation
 //     baseline.
 package assign

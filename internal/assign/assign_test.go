@@ -1,8 +1,11 @@
 package assign
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -239,18 +242,85 @@ func TestMatchSparseDuplicateEdges(t *testing.T) {
 	}
 }
 
-// Property: MatchSparse equals dense Solve with absent edges Forbidden.
+// Pinned: when two rows compete for one column, the cheaper one must win
+// it. With edges r1–c1 = 0.5 and r2–c1 = 0.1, visiting rows in order and
+// skipping a row that finds no augmenting path would keep r1; the dense
+// solve, and the per-row dummy columns that reproduce it, return r2. The
+// second case links a third row to c1 so the component is square and the
+// rows are not reoriented: r2 then reaches c1 only by pushing r1 onto its
+// dummy.
+func TestMatchSparseRowsExceedCols(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		nA, nB int
+		edges  []Edge
+		want   []Pair
+	}{
+		{"2x1", 2, 1,
+			[]Edge{{A: 0, B: 0, Cost: 0.5}, {A: 1, B: 0, Cost: 0.1}},
+			[]Pair{{A: 1, B: 0, Cost: 0.1}}},
+		{"3x3", 3, 3,
+			[]Edge{{A: 0, B: 0, Cost: 0.5}, {A: 1, B: 0, Cost: 0.1}, {A: 2, B: 0, Cost: 0.9}, {A: 2, B: 1, Cost: 0.3}, {A: 2, B: 2, Cost: 0.2}, {A: 0, B: 0, Cost: 0.7}},
+			[]Pair{{A: 1, B: 0, Cost: 0.1}, {A: 2, B: 2, Cost: 0.2}}},
+	} {
+		if got := MatchSparse(tc.nA, tc.nB, tc.edges); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: pairs=%v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// Pinned work bound: a 5,000 × 5,000 chain component (row i–col i at 0,
+// row i–col i+1 at 0.5) is matched along the diagonal at total cost 0 in
+// memory proportional to its edges. A dense matrix of this component alone
+// would take 200 MB.
+func TestMatchSparseChainMemory(t *testing.T) {
+	const n = 5000
+	edges := make([]Edge, 0, 2*n)
+	for i := 0; i < n; i++ {
+		edges = append(edges, Edge{A: i, B: i, Cost: 0})
+		if i+1 < n {
+			edges = append(edges, Edge{A: i, B: i + 1, Cost: 0.5})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pairs := MatchSparse(n, n, edges)
+	runtime.ReadMemStats(&after)
+
+	if len(pairs) != n {
+		t.Fatalf("matched %d pairs, want %d", len(pairs), n)
+	}
+	total := 0.0
+	for i, p := range pairs {
+		if p.A != i || p.B != i {
+			t.Fatalf("pair %d = %v, want the diagonal", i, p)
+		}
+		total += p.Cost
+	}
+	if total != 0 {
+		t.Errorf("total=%v want 0", total)
+	}
+	const limit = 32 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= limit {
+		t.Errorf("allocated %d bytes, want < %d", alloc, limit)
+	}
+}
+
+// Property: MatchSparse equals dense Solve with absent edges Forbidden, in
+// cardinality and total cost, and returns a valid matching over the given
+// edges.
 func TestMatchSparseMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		nA := 1 + r.Intn(6)
-		nB := 1 + r.Intn(6)
+		nA := 1 + r.Intn(12)
+		nB := 1 + r.Intn(12)
+		density := 1 + r.Intn(4) // keep roughly one edge in density
 		cost := make([][]float64, nA)
 		var edges []Edge
 		for i := range cost {
 			cost[i] = make([]float64, nB)
 			for j := range cost[i] {
-				if r.Intn(3) == 0 {
+				if r.Intn(density) == 0 {
 					c := math.Round(r.Float64()*100) / 100
 					cost[i][j] = c
 					edges = append(edges, Edge{A: i, B: j, Cost: c})
@@ -260,27 +330,88 @@ func TestMatchSparseMatchesDense(t *testing.T) {
 			}
 		}
 		pairs := MatchSparse(nA, nB, edges)
-		sparseTotal := 0.0
-		for _, p := range pairs {
-			sparseTotal += p.Cost
-		}
-		rowToCol, denseTotal, err := Solve(cost)
-		if err != nil {
+		if err := checkSparse(pairs, cost); err != nil {
+			t.Log(err)
 			return false
 		}
-		denseCount := 0
-		for _, j := range rowToCol {
-			if j >= 0 {
-				denseCount++
-			}
-		}
-		// Same cardinality and same total cost (assignments may differ when
-		// ties exist).
-		return denseCount == len(pairs) && math.Abs(sparseTotal-denseTotal) < 1e-6
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkSparse verifies pairs against the dense solve of cost (absent edges
+// Forbidden): a valid matching over finite entries at their costs, with the
+// dense solve's cardinality and total cost; for at most 9 rows or columns
+// also the brute-force oracle's.
+func checkSparse(pairs []Pair, cost [][]float64) error {
+	usedA := make(map[int]bool)
+	usedB := make(map[int]bool)
+	sparseTotal := 0.0
+	for _, p := range pairs {
+		if usedA[p.A] || usedB[p.B] {
+			return fmt.Errorf("pair %v reuses an item: %v", p, pairs)
+		}
+		usedA[p.A], usedB[p.B] = true, true
+		if p.Cost != cost[p.A][p.B] {
+			return fmt.Errorf("pair %v has cost %v, want the cheapest edge %v", p, p.Cost, cost[p.A][p.B])
+		}
+		sparseTotal += p.Cost
+	}
+	oracles := []func([][]float64) ([]int, float64, error){Solve}
+	if min(len(cost), len(cost[0])) <= 9 {
+		oracles = append(oracles, BruteForce)
+	}
+	for _, oracle := range oracles {
+		rowToCol, total, err := oracle(cost)
+		if err != nil {
+			return err
+		}
+		count := 0
+		for _, j := range rowToCol {
+			if j >= 0 {
+				count++
+			}
+		}
+		if count != len(pairs) || math.Abs(sparseTotal-total) > 1e-9 {
+			return fmt.Errorf("sparse %d pairs at %v, oracle %d at %v (pairs %v)",
+				len(pairs), sparseTotal, count, total, pairs)
+		}
+	}
+	return nil
+}
+
+// FuzzMatchSparse decodes bytes into a sparse edge list over at most 9×9
+// items with costs in tenths, so ties, zero costs and duplicate edges are
+// frequent, and checks MatchSparse against the dense and brute-force
+// solvers. Layout: nA-1, nB-1 (mod 9), then (a, b, cost) byte triples.
+// The seed corpus in testdata/fuzz/FuzzMatchSparse holds the rows>cols and
+// square dummy-column cases, cardinality over cost, duplicate edges, zero-
+// cost ties and a 9×9 chain.
+func FuzzMatchSparse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		nA, nB := 1+int(data[0])%9, 1+int(data[1])%9
+		cost := make([][]float64, nA)
+		for i := range cost {
+			cost[i] = make([]float64, nB)
+			for j := range cost[i] {
+				cost[i][j] = Forbidden
+			}
+		}
+		var edges []Edge
+		for k := 2; k+2 < len(data); k += 3 {
+			e := Edge{A: int(data[k]) % nA, B: int(data[k+1]) % nB, Cost: float64(data[k+2]%11) / 10}
+			edges = append(edges, e)
+			cost[e.A][e.B] = min(cost[e.A][e.B], e.Cost)
+		}
+		if err := checkSparse(MatchSparse(nA, nB, edges), cost); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestGreedy(t *testing.T) {

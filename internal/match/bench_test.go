@@ -1,16 +1,18 @@
-package match
+package match_test
 
 import (
 	"fmt"
 	"testing"
 
+	"fuzzyfd/internal/datagen"
 	"fuzzyfd/internal/embed"
+	"fuzzyfd/internal/match"
 )
 
 // syntheticColumns builds n columns of size values each, with overlapping
 // content so matching does real work.
-func syntheticColumns(nCols, size int) []Column {
-	cols := make([]Column, nCols)
+func syntheticColumns(nCols, size int) []match.Column {
+	cols := make([]match.Column, nCols)
 	for c := 0; c < nCols; c++ {
 		vals := make([]string, size)
 		for i := range vals {
@@ -24,7 +26,7 @@ func syntheticColumns(nCols, size int) []Column {
 				vals[i] = fmt.Sprintf("Enttity %04d", i)
 			}
 		}
-		cols[c] = NewColumn(fmt.Sprintf("c%d", c), vals)
+		cols[c] = match.NewColumn(fmt.Sprintf("c%d", c), vals)
 	}
 	return cols
 }
@@ -33,7 +35,7 @@ func BenchmarkMatchDense(b *testing.B) {
 	for _, size := range []int{100, 300} {
 		cols := syntheticColumns(3, size)
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			m := &Matcher{Emb: embed.NewMistral(), Opts: Options{Mode: ModeDense}}
+			m := &match.Matcher{Emb: embed.NewMistral(), Opts: match.Options{Mode: match.ModeDense}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Match(cols); err != nil {
@@ -48,7 +50,7 @@ func BenchmarkMatchSparse(b *testing.B) {
 	for _, size := range []int{300, 1000} {
 		cols := syntheticColumns(3, size)
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			m := &Matcher{Emb: embed.NewMistral(), Opts: Options{Mode: ModeSparse}}
+			m := &match.Matcher{Emb: embed.NewMistral(), Opts: match.Options{Mode: match.ModeSparse}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Match(cols); err != nil {
@@ -59,9 +61,25 @@ func BenchmarkMatchSparse(b *testing.B) {
 	}
 }
 
-func BenchmarkBlockingKeys(b *testing.B) {
+// BenchmarkMatchSparseIMDB matches the tconst columns of the 10k-tuple
+// IMDB set, in table order, under default options: the key column pairs
+// exceed match.DefaultDenseLimit, so every round takes the blocked sparse
+// path. Embeddings are warmed first, so this measures blocking, scoring
+// and assignment.
+func BenchmarkMatchSparseIMDB(b *testing.B) {
+	var cols []match.Column
+	for _, t := range datagen.IMDB(datagen.IMDBConfig{Seed: 1, TotalTuples: 10_000}) {
+		if i := t.ColumnIndex("tconst"); i >= 0 {
+			cols = append(cols, match.NewColumn(t.Name+".tconst", t.ColumnValues(i)))
+		}
+	}
+	m := &match.Matcher{Emb: embed.NewMistral()}
+	embed.Warm(m.Emb, match.DistinctValues(cols), 1)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blockingKeys("University of Springfield at Riverton", nil)
+		if _, err := m.Match(cols); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

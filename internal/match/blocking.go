@@ -95,34 +95,50 @@ func minTrigrams(s string, k int) []string {
 	return out
 }
 
+// keyMemo caches blockingKeys per distinct value for the duration of one
+// Matcher.match call: representatives are values of earlier columns, so
+// without it every round would recompute their keys. It is local to the
+// call, so concurrent Match calls share nothing.
+type keyMemo map[string][]string
+
+func (km keyMemo) keys(v string, lex *lexicon.Lexicon) []string {
+	ks, ok := km[v]
+	if !ok {
+		ks = blockingKeys(v, lex)
+		km[v] = ks
+	}
+	return ks
+}
+
 // blockedEdges generates candidate (cluster, value) pairs via the blocking
 // index and scores them, keeping edges under θ.
-func (m *Matcher) blockedEdges(clusters []*working, values []string, theta float64) []assign.Edge {
+func (m *Matcher) blockedEdges(clusters []*working, values []string, theta float64, memo keyMemo) []assign.Edge {
 	scorer := m.scorer()
 	lex := lexicon.Full()
 
 	// Index side B by blocking key.
 	byKey := make(map[string][]int)
 	for j, v := range values {
-		for _, k := range blockingKeys(v, lex) {
+		for _, k := range memo.keys(v, lex) {
 			byKey[k] = append(byKey[k], j)
 		}
 	}
 
 	var edges []assign.Edge
-	seen := make(map[[2]int]bool)
+	// stamp[j] == i+1 once value j has been scored against cluster i;
+	// clusters are visited in order, so this dedupes each pair.
+	stamp := make([]int, len(values))
 	for i, c := range clusters {
-		for _, k := range blockingKeys(c.rep, lex) {
+		for _, k := range memo.keys(c.rep, lex) {
 			bucket := byKey[k]
 			if len(bucket) > maxBucket {
 				continue
 			}
 			for _, j := range bucket {
-				key := [2]int{i, j}
-				if seen[key] {
+				if stamp[j] == i+1 {
 					continue
 				}
-				seen[key] = true
+				stamp[j] = i + 1
 				if d := scorer.Distance(c.rep, values[j]); d < theta {
 					edges = append(edges, assign.Edge{A: i, B: j, Cost: d})
 				}

@@ -11,11 +11,16 @@
 // earlier table); the combined column is then matched against the next
 // column, and so on until every column is consumed.
 //
-// Two assignment paths produce identical matchings: a dense solver for
-// small column pairs (the paper's scipy linear_sum_assignment) and a
-// blocked sparse solver for data-lake-scale columns, which restricts the
-// assignment to candidate pairs sharing a blocking key (sound for hashed
-// feature embeddings: cosine similarity requires a shared feature).
+// Two assignment paths produce optimal matchings of the same cardinality
+// and cost: a dense solver for small column pairs (the paper's scipy
+// linear_sum_assignment) and a blocked sparse solver for data-lake-scale
+// columns. The sparse path restricts the assignment to candidate pairs
+// sharing a blocking key (sound for hashed feature embeddings: cosine
+// similarity requires a shared feature) and solves each connected
+// component of the candidate graph by shortest augmenting paths over its
+// edges, so its time and memory follow the number of candidate pairs, not
+// the product of the column sizes. Blocking keys are computed once per
+// distinct value per Match call.
 package match
 
 import (
@@ -245,6 +250,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 		})
 	}
 
+	memo := make(keyMemo)
 	for k := 1; k < len(cols); k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -254,7 +260,7 @@ func (m *Matcher) match(ctx context.Context, cols []Column, thetaFor thetaFunc) 
 			reps[i] = c.rep
 		}
 		theta := thetaFor(k, reps, cols[k].Values)
-		pairs, err := m.assignRound(clusters, cols[k].Values, theta)
+		pairs, err := m.assignRound(clusters, cols[k].Values, theta, memo)
 		if err != nil {
 			return nil, fmt.Errorf("match: column %d (%s): %w", k, cols[k].Name, err)
 		}
@@ -312,7 +318,8 @@ func (m *Matcher) elect(c *working, freq map[string]int) {
 
 // assignRound matches current clusters (side A, by representative) against
 // the next column's values (side B), returning assignment pairs under θ.
-func (m *Matcher) assignRound(clusters []*working, values []string, theta float64) ([]assign.Pair, error) {
+// memo caches blocking keys across the rounds of one match call.
+func (m *Matcher) assignRound(clusters []*working, values []string, theta float64, memo keyMemo) ([]assign.Pair, error) {
 	mode := m.Opts.Mode
 	if mode == ModeAuto {
 		if len(clusters)*len(values) <= m.Opts.denseLimit() {
@@ -325,9 +332,9 @@ func (m *Matcher) assignRound(clusters []*working, values []string, theta float6
 	case ModeDense:
 		return m.assignDense(clusters, values, theta)
 	case ModeSparse:
-		return assign.MatchSparse(len(clusters), len(values), m.blockedEdges(clusters, values, theta)), nil
+		return assign.MatchSparse(len(clusters), len(values), m.blockedEdges(clusters, values, theta, memo)), nil
 	case ModeGreedy:
-		return assign.Greedy(m.blockedEdges(clusters, values, theta)), nil
+		return assign.Greedy(m.blockedEdges(clusters, values, theta, memo)), nil
 	default:
 		return nil, fmt.Errorf("unknown mode %d", mode)
 	}

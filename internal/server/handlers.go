@@ -488,13 +488,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
+	// Subscribe before the 200 goes out: a client sees the headers as
+	// soon as they are flushed and may trigger an integration at once, so
+	// the subscription must already exist to catch its first event.
+	ch, cancel := c.hub.subscribe()
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": fuzzyfdd session %s\n\n", name)
 	fl.Flush()
-	ch, cancel := c.hub.subscribe()
-	defer cancel()
 	for {
 		select {
 		case ev := <-ch:
