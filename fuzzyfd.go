@@ -168,7 +168,7 @@ func WriteJSONL(w io.Writer, t *Table) error {
 }
 
 // ReadJSONL parses a JSON Lines stream (one object per row, missing keys
-// null) into a table with the given name — the inverse of WriteJSONL, and
+// and JSON null values read as null cells) into a table with the given name — the inverse of WriteJSONL, and
 // the table encoding the fuzzyfdd server ingests.
 func ReadJSONL(r io.Reader, name string) (*Table, error) {
 	return table.ReadJSONL(r, name)
@@ -247,10 +247,12 @@ func WithContentAlignment(useHeaders bool) Option {
 // groups close independently with group-local indexes and no shared
 // mutable state, so it beats the sequential engine even on one core
 // (strictly fewer merge attempts) and scales across cores. Incremental
-// re-closure inside a Session uses a work-stealing concurrent engine
-// (sharded signature index, per-worker deques, lock-free candidate
-// generation). Results are byte-identical to the sequential engine for
-// any worker count.
+// re-closure of a hub inside a Session, and a hub with no pivot column,
+// run the sequential closure over the component's cached indexes, with
+// only the subsumption search spread across workers. Results and work
+// counters (Result.FDStats.MergeAttempts included) are identical for any
+// schedule; results are byte-identical to the sequential engine for any
+// worker count.
 func WithParallelFD(workers int) Option {
 	return func(o *options) error {
 		if workers < 1 {

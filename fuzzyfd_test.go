@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fuzzyfd/internal/datagen"
@@ -184,6 +185,32 @@ func TestCSVRoundTripThroughFacade(t *testing.T) {
 	}
 	if back.NumRows() != 1 || !back.Rows[0][1].IsNull {
 		t.Errorf("round trip: %v", back)
+	}
+}
+
+// A JSON null in JSONL input is a missing value: two rows that share only
+// a null year must not integrate into one row.
+func TestJSONLNullDoesNotJoin(t *testing.T) {
+	movies, err := ReadJSONL(strings.NewReader(`{"title":"Alien","year":null}`), "movies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	credits, err := ReadJSONL(strings.NewReader(`{"director":"Scott","year":null}`), "credits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Integrate([]*Table{movies, credits}, WithEquiJoin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table.NumRows() != 2 {
+		t.Fatalf("rows=%d want 2 (a null year joins nothing)\n%v", res.Table.NumRows(), res.Table)
+	}
+	year := res.Table.ColumnIndex("year")
+	for i, row := range res.Table.Rows {
+		if year >= 0 && !row[year].IsNull {
+			t.Errorf("row %d: year = %q, want null", i, row[year].Val)
+		}
 	}
 }
 

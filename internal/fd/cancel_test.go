@@ -150,9 +150,10 @@ func TestFullDisjunctionContextBackgroundIdentical(t *testing.T) {
 // batch result — cancellation must not leave stale component caches
 // behind. The ingested delta survives: its dirty marks persist, so
 // recovery re-closes the affected components in place instead of dropping
-// the tuple store and rebuilding. Exercised for both engines a dirty
-// component re-closes with: the sequential worklist and the work-stealing
-// engine both interrupt mid-closure and must leave the Index recoverable.
+// the tuple store and rebuilding. Exercised at 1 and 4 workers: the chain
+// has no pivot column, so at 4 workers it is a hub re-closed by the
+// sequential worklist with a parallel subsumer search, and both runs must
+// interrupt mid-closure and leave the Index recoverable.
 func TestUpdateContextCanceledThenRecovers(t *testing.T) {
 	tables := chainTables(40)
 	schema := IdentitySchema(tables)

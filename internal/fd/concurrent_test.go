@@ -4,15 +4,15 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
 
-// Equivalence of the work-stealing engine with the sequential one on random
-// integration sets, across worker counts. Runs under -race in CI, so this
-// doubles as the engine's race coverage.
+// Equivalence of parallel closure (component scheduling, hub closure with
+// the pivot-partitioned engine or the sequential closure with a parallel
+// subsumer search) with the sequential run on random integration sets,
+// across worker counts. Runs under -race in CI, so this doubles as the
+// scheduler's race coverage.
 func TestConcurrentClosureMatchesSequentialRandom(t *testing.T) {
 	variants := []Options{{Workers: 2}, {Workers: 4}, {Workers: 8}}
 	f := func(seed int64) bool {
@@ -42,10 +42,10 @@ func TestConcurrentClosureMatchesSequentialRandom(t *testing.T) {
 	}
 }
 
-// The incremental index over the concurrent engine: updates stay
-// byte-identical to one-shot runs when hub components are re-closed by the
-// work-stealing engine (which invalidates the cached closure indexes, so
-// this also exercises the slow re-seeding path).
+// The incremental index at Workers > 1: updates stay byte-identical to
+// one-shot runs when hub components are re-closed — over their cached
+// indexes, or after a pivot-partitioned full closure left none to reuse
+// (the slow re-seeding path).
 func TestIndexIncrementalConcurrentRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -75,94 +75,7 @@ func TestIndexIncrementalConcurrentRandom(t *testing.T) {
 	}
 }
 
-func TestResolveShards(t *testing.T) {
-	for _, tc := range []struct{ workers, want int }{
-		{2, 16},    // floor
-		{8, 64},    // 8 per worker
-		{5, 64},    // rounded up to a power of two
-		{100, 512}, // cap
-	} {
-		if got := resolveShards(tc.workers); got != tc.want {
-			t.Errorf("resolveShards(%d) = %d, want %d", tc.workers, got, tc.want)
-		}
-	}
-}
-
-func TestConcDequeStealHalf(t *testing.T) {
-	var d, dst concDeque
-	for i := 0; i < 7; i++ {
-		d.push(i)
-	}
-	if !d.stealHalf(&dst) {
-		t.Fatal("steal from non-empty deque failed")
-	}
-	// The thief takes the older half (head), the victim keeps the rest.
-	if got := len(dst.items); got != 4 {
-		t.Fatalf("stole %d items, want 4", got)
-	}
-	var all []int
-	all = append(all, dst.items...)
-	all = append(all, d.items...)
-	sort.Ints(all)
-	if !reflect.DeepEqual(all, []int{0, 1, 2, 3, 4, 5, 6}) {
-		t.Fatalf("items lost or duplicated across steal: %v", all)
-	}
-	var empty concDeque
-	if empty.stealHalf(&dst) {
-		t.Error("steal from empty deque reported success")
-	}
-}
-
-func TestPostingListConcurrentAppendIterate(t *testing.T) {
-	// Chunk-chain integrity over several chunk boundaries.
-	var pl postingList
-	const n = plChunkSize*3 + 5
-	for i := 0; i < n; i++ {
-		pl.append(i)
-	}
-	var got []int
-	pl.each(func(id int) bool { got = append(got, id); return true })
-	if len(got) != n {
-		t.Fatalf("iterated %d of %d items", len(got), n)
-	}
-	for i, id := range got {
-		if id != i {
-			t.Fatalf("item %d = %d, want %d (append order broken)", i, id, i)
-		}
-	}
-	// Early exit stops the walk.
-	count := 0
-	pl.each(func(int) bool { count++; return count < 3 })
-	if count != 3 {
-		t.Fatalf("early exit iterated %d items, want 3", count)
-	}
-}
-
-// The concurrent engine engages inside an unpivoted hub component and
-// reports its autotuned shard count; the sequential engine reports none.
-func TestStatsShardsReported(t *testing.T) {
-	tables := chainTables(40)
-	schema := IdentitySchema(tables)
-	seq, err := FullDisjunction(tables, schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats.Shards != 0 {
-		t.Errorf("sequential run reported Shards=%d", seq.Stats.Shards)
-	}
-	par, err := FullDisjunction(tables, schema, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Stats.Shards != resolveShards(4) {
-		t.Errorf("concurrent run reported Shards=%d, want %d", par.Stats.Shards, resolveShards(4))
-	}
-	if !resultsIdentical(par, seq) {
-		t.Error("concurrent hub closure differs from sequential")
-	}
-}
-
-// A canceled concurrent closure must not leak goroutines or deadlock: the
+// A canceled parallel closure must not leak goroutines or deadlock: the
 // workers drain promptly and the error surfaces as ErrCanceled.
 func TestConcurrentClosureCancel(t *testing.T) {
 	tables := chainTables(60)

@@ -28,9 +28,11 @@
 //     1, components are scheduled by size: tiny ones close inline,
 //     mid-sized ones are scheduled whole across workers, and a hub
 //     component dominating the input (or a single-component input) is
-//     closed with every worker inside it — by the pivot-partitioned engine
+//     closed with every worker inside it by the pivot-partitioned engine
 //     (pivotpar.go) when the closure is complete and a pivot column
-//     qualifies, by the work-stealing engine (concurrent.go) otherwise.
+//     qualifies. Otherwise — incremental re-closure of a dirty hub, or a
+//     hub with no pivot column — the hub runs the sequential closure over
+//     its cached indexes, with only the subsumer search in parallel.
 //
 // NaiveFD (naive.go) is the definitional oracle every engine path is
 // tested against.
@@ -276,12 +278,10 @@ type Stats struct {
 	LargestComp      int   // outer-union tuples in the largest component
 	LargestClose     int   // closure tuples of the largest component
 	Merges           int   // successful complementation merges this run
-	MergeAttempts    int   // candidate pairs tested this run (schedule-dependent under Workers > 1)
+	MergeAttempts    int   // candidate pairs tested this run
 	Closure          int   // tuples after complementation closure
 	ReclosedTuples   int   // closure tuples of the components (re)closed this run (= Closure for one-shot partitioned runs)
 	SeedReusedTuples int   // closure tuples seeded from previous runs instead of re-derived (incremental re-closure)
-	StolenBatches    int   // work-stealing engine: deque batches stolen by idle workers
-	Shards           int   // signature shards of the work-stealing engine (0 when it did not run)
 	PivotColumn      int   // pivot column of the largest component (re)closed this run; -1 when it ran unbucketed
 	PivotGroups      int   // disjoint pivot-value groups closed by the pivot-partitioned hub engine (0 when it did not run)
 	PivotSkipped     int   // candidate iterations skipped by pivot bucketing this run
@@ -300,14 +300,10 @@ type Stats struct {
 func (s *Stats) mergeWork(r Stats) {
 	s.Merges += r.Merges
 	s.MergeAttempts += r.MergeAttempts
-	s.StolenBatches += r.StolenBatches
 	s.PivotGroups += r.PivotGroups
 	s.PivotSkipped += r.PivotSkipped
 	s.PivotBuckets += r.PivotBuckets
 	s.PivotMinted += r.PivotMinted
-	if r.Shards > s.Shards {
-		s.Shards = r.Shards
-	}
 }
 
 // Result is an integrated table plus per-row provenance and statistics.

@@ -113,11 +113,13 @@ type cachedComp struct {
 	// prefix in general).
 	basePos []int
 	// sigs and post are the signature and posting indexes covering store,
-	// kept from the sequential closure that produced it. A dirty re-closure
-	// extends them in place — appending only the delta — instead of
-	// re-indexing the whole store. They are nil (forcing an index rebuild
-	// on the next re-closure) after schema widening, a closure by the
-	// work-stealing engine, or a component merge.
+	// kept from the sequential closure that produced it — at any worker
+	// count, since every re-closure and every unpivoted hub runs that
+	// closure. A dirty re-closure extends them in place — appending only
+	// the delta — instead of re-indexing the whole store. They are nil
+	// (forcing an index rebuild on the next re-closure) after schema
+	// widening, a component merge, or a full hub closure by the
+	// pivot-partitioned engine.
 	sigs *sigIndex
 	post *postingIndex
 	// sub caches each store entry's canonical subsumer position (-1 =
@@ -712,7 +714,8 @@ func (x *Index) seedFast(members []int, owner *cachedComp, touched []bool) (clos
 // tuples first, then the cached derived tuples of every previous component
 // the group absorbed — rebuilding the signature index over the new layout.
 // This is the path for merged components and for caches whose indexes were
-// invalidated (schema widening, work-stealing closure).
+// invalidated (schema widening) or never built (pivot-partitioned hub
+// closure).
 func (x *Index) seedSlow(members []int, ownerOf []*cachedComp, touched []bool) (closeJob, []int) {
 	seed := make([]Tuple, len(members))
 	pos := make(map[int]int, len(members))

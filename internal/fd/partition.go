@@ -112,8 +112,7 @@ type closeJob struct {
 	base   int   // count of outer-union (base) tuples in the seed
 	work   []int // store IDs to expand; nil closes from scratch
 	// sigs is the signature index over tuples; the sequential closure
-	// consumes it in place instead of re-hashing the store. The
-	// work-stealing engine builds its own sharded index.
+	// consumes it in place instead of re-hashing the store.
 	sigs *sigIndex
 	// post, when non-nil, is a posting index already covering tuples
 	// (cached from the component's previous closure); the sequential
@@ -161,8 +160,10 @@ func newJobClosure(e *engine, job closeJob, opts Options, bud *budget) *closure 
 
 // closeOne closes one component job (complementation closure followed by
 // subsumption removal) against the shared budget, polling ctx inside the
-// closure.
-func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *budget) compResult {
+// closure. The closure itself is sequential; subWorkers fans out the
+// subsumer search (1 for components scheduled whole across the pool, the
+// full worker count for a hub).
+func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *budget, subWorkers int) compResult {
 	if len(job.tuples) == 1 {
 		// A singleton component is its own closure and its own maximal
 		// tuple; skip the index setup entirely (data-lake inputs produce
@@ -178,30 +179,30 @@ func (e *engine) closeOne(ctx context.Context, job closeJob, opts Options, bud *
 		return compResult{err: err}
 	}
 	st.PivotBuckets = cl.idx.buckets
-	kept, sub := e.subsumeIncremental(cl.tuples, cl.idx, job.subSeed, job.subN, 1)
+	kept, sub := e.subsumeIncremental(cl.tuples, cl.idx, job.subSeed, job.subN, subWorkers)
 	return compResult{kept: kept, store: cl.tuples, sigs: cl.sigs, post: cl.idx, sub: sub, stats: st, closure: len(cl.tuples)}
 }
 
-// closeOnePar closes one component job with every worker inside it. Used
-// for a hub component that dominates the input (or a single-component
-// input), where scheduling whole components across workers would leave all
-// but one of them idle.
+// closeOnePar closes a hub component job — one that dominates the input,
+// or a single-component input, where scheduling whole components across
+// workers would leave all but one of them idle. A full closure with a
+// pivot column runs the pivot-partitioned engine, which closes disjoint
+// pivot groups with every worker. Everything else — incremental re-closure
+// (a partial worklist needs every pair involving the delta attempted
+// across the whole cached store, which the group decomposition does not
+// cover) and hubs with no pivot — runs the sequential closure, which
+// extends the component's cached indexes in place; only its subsumer
+// search fans out across the workers.
 func (e *engine) closeOnePar(ctx context.Context, job closeJob, opts Options, bud *budget) compResult {
-	var st Stats
-	var closed []Tuple
-	var err error
-	pivot := pivotFor(opts, job.tuples, e.nCols)
-	if pivot >= 0 && job.work == nil {
-		// Full closure with a pivot: the pivot-partitioned engine closes
-		// disjoint pivot groups with no shared mutable state. Incremental
-		// re-closure (a partial worklist) needs every pair involving the
-		// delta attempted across the whole cached store, which the group
-		// decomposition does not cover — that stays on the work-stealing
-		// engine.
-		closed, err = closePivotPar(ctx, e, job.tuples, pivot, opts.Workers, bud, &st)
-	} else {
-		closed, err = closeConcurrent(ctx, e, job.tuples, job.work, opts.Workers, resolveShards(opts.Workers), pivot, bud, &st)
+	pivot := -1
+	if job.work == nil {
+		pivot = pivotFor(opts, job.tuples, e.nCols)
 	}
+	if pivot < 0 {
+		return e.closeOne(ctx, job, opts, bud, opts.Workers)
+	}
+	var st Stats
+	closed, err := closePivotPar(ctx, e, job.tuples, pivot, opts.Workers, bud, &st)
 	if err != nil {
 		return compResult{err: err}
 	}
@@ -243,7 +244,7 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 			if err := ctx.Err(); err != nil {
 				return Canceled(err)
 			}
-			r := e.closeOne(ctx, jobs[ci], opts, bud)
+			r := e.closeOne(ctx, jobs[ci], opts, bud, 1)
 			if r.err != nil {
 				return r.err
 			}
@@ -328,7 +329,7 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 		go func() {
 			defer wg.Done()
 			for ci := range feed {
-				out <- closedComp{ci: ci, r: e.closeOne(ctx, jobs[ci], opts, bud)}
+				out <- closedComp{ci: ci, r: e.closeOne(ctx, jobs[ci], opts, bud, 1)}
 			}
 		}()
 	}
@@ -354,7 +355,7 @@ func (e *engine) closeEach(ctx context.Context, jobs []closeJob, opts Options, b
 			fail(Canceled(err))
 			break
 		}
-		r := e.closeOne(ctx, jobs[ci], opts, bud)
+		r := e.closeOne(ctx, jobs[ci], opts, bud, 1)
 		if r.err != nil {
 			fail(r.err)
 			break

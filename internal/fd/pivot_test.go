@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"fuzzyfd/internal/intern"
@@ -118,46 +116,6 @@ func TestPivotedCandidatesSoundAndComplete(t *testing.T) {
 		if gi != len(got) {
 			t.Fatalf("tuple %d: pivoted probe yielded candidates the flat probe did not", i)
 		}
-	}
-}
-
-// TestConcPivotListConcurrentMint hammers the copy-on-write bucket map
-// from many goroutines (run under -race in CI): every append must land,
-// every bucket must be visible to its own appender, and each pivot value
-// must mint exactly one bucket.
-func TestConcPivotListConcurrentMint(t *testing.T) {
-	var pl concPivotList
-	const workers, perWorker, pivots = 8, 400, 13
-	var minted atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				p := uint32(1 + (w+i)%pivots)
-				if pl.append(p, w*perWorker+i) {
-					minted.Add(1)
-				}
-				if pl.bucket(p) == nil {
-					t.Errorf("bucket %d missing right after appending to it", p)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := pl.n.Load(); got != workers*perWorker {
-		t.Fatalf("published %d ids, want %d", got, workers*perWorker)
-	}
-	if minted.Load() != pivots {
-		t.Errorf("minted %d buckets, want %d", minted.Load(), pivots)
-	}
-	total, ids := 0, map[int]bool{}
-	for _, b := range *pl.buckets.Load() {
-		b.each(func(id int) bool { total++; ids[id] = true; return true })
-	}
-	if total != workers*perWorker || len(ids) != total {
-		t.Fatalf("buckets hold %d ids (%d distinct), want %d", total, len(ids), workers*perWorker)
 	}
 }
 

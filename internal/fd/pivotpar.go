@@ -10,12 +10,11 @@ import (
 
 // Pivot-partitioned hub closure.
 //
-// The work-stealing engine (concurrent.go) parallelizes a hub component by
-// sharing one growing store across workers: every probe takes an atomic
-// pointer load on the copy-on-write pivot buckets, every production a
-// sharded test-and-insert, every provenance fold a striped lock. After the
-// pivot index cut the candidate lists ~29x, that per-visit overhead came to
-// dominate — the parallel engines lost to the sequential one outright.
+// A parallel closure that shares one growing store across workers pays on
+// every probe, production and provenance fold for the sharing: atomic
+// loads, sharded test-and-insert, striped locks. Once the pivot index cut
+// the candidate lists ~29x, that per-visit overhead dominated, and such an
+// engine lost to the sequential one outright.
 //
 // This engine removes the shared mutable state instead of cheapening it,
 // using the same observation the pivot index is built on, taken one step
@@ -40,13 +39,13 @@ import (
 // cross-worker duplicate probes, and caches that fit a few hundred tuples
 // instead of the whole closure. Workers pick groups off an atomic counter;
 // the result is deterministic regardless of worker count or schedule, so
-// merge-attempt counts are schedule-independent (unlike the work-stealing
-// engine's).
+// merge-attempt counts are schedule-independent.
 //
 // The decomposition needs every seed expanded, so it serves full closures
 // only (work == whole seed store). Incremental re-closure of a dirty hub —
 // where unexpanded cached tuples would miss their pairs with new null-pivot
-// tuples — stays on the work-stealing engine (closeConcurrent).
+// tuples — runs the sequential closure over the component's cached
+// indexes instead (closeOnePar).
 
 // pivotGroups partitions seed indices by their pivot-column symbol:
 // null-pivot seeds first, then one group per distinct pivot value in

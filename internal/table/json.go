@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // WriteJSONL writes the table as JSON Lines: one object per row mapping
@@ -53,8 +54,10 @@ const defaultMaxLineBytes = 4 << 20
 
 // ReadJSONL parses a JSON Lines stream into a table with the default
 // limits. The schema is the union of all keys in first-seen order; missing
-// keys become null cells. Non-string JSON values are rendered with their
-// default JSON encoding. Errors name the 1-based offending line.
+// keys and JSON null values become null cells, so a null joins nothing,
+// exactly like an omitted key. Other non-string JSON values are rendered
+// as their raw JSON text, coerced to valid UTF-8. Errors name the 1-based
+// offending line.
 func ReadJSONL(r io.Reader, name string) (*Table, error) {
 	return ReadJSONLLimited(r, name, JSONLLimits{})
 }
@@ -111,9 +114,15 @@ func ReadJSONLLimited(r io.Reader, name string, lim JSONLLimits) (*Table, error)
 			row[i] = Null()
 		}
 		for k, raw := range obj {
+			if string(raw) == "null" {
+				continue // the cell stays null
+			}
 			var s string
 			if err := json.Unmarshal(raw, &s); err != nil {
-				s = string(raw) // numbers, booleans, nested values: raw JSON
+				// Numbers, booleans, nested values: raw JSON. Nested strings
+				// may hold invalid UTF-8, which WriteJSONL would replace, so
+				// replace it here and the table survives a round trip.
+				s = strings.ToValidUTF8(string(raw), "\uFFFD")
 			}
 			row[colIdx[k]] = S(s)
 		}

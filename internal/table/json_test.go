@@ -61,6 +61,38 @@ func TestReadJSONLNonStringValues(t *testing.T) {
 	}
 }
 
+// A JSON null reads as a null cell, exactly like an omitted key — not as
+// an empty string, which would join with every other empty string.
+func TestReadJSONLNullIsNullCell(t *testing.T) {
+	in := `{"title":"Alien","year":null}
+{"title":null,"year":"1979"}`
+	tb, err := ReadJSONL(strings.NewReader(in), "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	year, title := tb.ColumnIndex("year"), tb.ColumnIndex("title")
+	if year < 0 || title < 0 {
+		t.Fatalf("columns = %v, want title and year", tb.Columns)
+	}
+	if !tb.Rows[0][year].IsNull {
+		t.Errorf("row 0 year = %+v, want null", tb.Rows[0][year])
+	}
+	if !tb.Rows[1][title].IsNull {
+		t.Errorf("row 1 title = %+v, want null", tb.Rows[1][title])
+	}
+	if tb.Rows[0][title] != S("Alien") || tb.Rows[1][year] != S("1979") {
+		t.Errorf("non-null cells changed: %v", tb.Rows)
+	}
+	// The string "null" is a value, not a null.
+	tb, err = ReadJSONL(strings.NewReader(`{"a":"null"}`), "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Rows[0][0] != S("null") {
+		t.Errorf(`"null" string read as %+v`, tb.Rows[0][0])
+	}
+}
+
 func TestReadJSONLErrors(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader("{bad json"), "j"); err == nil {
 		t.Error("malformed input accepted")
